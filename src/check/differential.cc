@@ -18,6 +18,7 @@
 #include "runtime/run_options.h"
 #include "runtime/trace.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "storage/block_storage.h"
 #include "storage/faulty_storage.h"
 
@@ -109,12 +110,24 @@ RealRun RunReal(const WorkloadSpec& spec, const RealConfig& config) {
       return out;
     }
     runtime::Executor& executor = **executor_or;
-    auto result = executor.Run(built->graph);
+    // A per-run registry: its pool.procs gauge is the worker count the
+    // executor really forked, which must be the one this leg names.
+    obs::MetricsRegistry metrics;
+    runtime::RunContext ctx;
+    ctx.metrics = &metrics;
+    auto result = executor.Run(built->graph, ctx);
     if (!result.ok()) {
       out.status = result.status();
       return out;
     }
     out.report = std::move(result).value();
+    const double forked = metrics.gauge("pool.procs")->value();
+    if (forked != config.procs) {
+      out.status = Status::Internal(StrFormat(
+          "leg asks for %d worker processes but the executor forked %g",
+          config.procs, forked));
+      return out;
+    }
     InvariantContext context;
     context.num_threads = config.procs;
     out.status = VerifyReport(built->graph, out.report, context);

@@ -521,6 +521,23 @@ int CountProcessThreads() {
   return n;
 }
 
+/// CountProcessThreads once the count has settled. pthread_join
+/// returns when the kernel clears the exiting thread's tid, which is
+/// before the thread leaves /proc/self/task, so a pool joined just
+/// before Execute can still be listed for a moment. A count above one
+/// is re-read for up to 100 ms; a thread that is really alive stays
+/// and is reported.
+int SettledProcessThreads() {
+  constexpr int64_t kSettleNs = 100'000'000;
+  const int64_t deadline_ns = NowNs() + kSettleNs;
+  int n = CountProcessThreads();
+  while (n > 1 && NowNs() < deadline_ns) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    n = CountProcessThreads();
+  }
+  return n;
+}
+
 /// Tasks queued to one worker beyond the one it is running — deep
 /// enough to hide dispatch latency, shallow enough that the
 /// coordinator keeps placement freedom (and far below the ring
@@ -545,7 +562,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  const int caller_threads = CountProcessThreads();
+  const int caller_threads = SettledProcessThreads();
   if (caller_threads > 1) {
     return Status::FailedPrecondition(StrFormat(
         "MultiProcExecutor::Execute must be called from a single-threaded "
@@ -1001,8 +1018,10 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& registry = *options_.metrics;
+  obs::MetricsRegistry* const metrics_sink =
+      ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
+  if (metrics_sink != nullptr) {
+    obs::MetricsRegistry& registry = *metrics_sink;
     registry.gauge("pool.procs")->Set(num_workers);
     registry.gauge("pool.domains")->Set(topo.num_domains());
     if (retries > 0) registry.counter("pool.retries")->Add(retries);

@@ -57,7 +57,9 @@ namespace taskbench::runtime {
 /// Execute detects extra threads (via /proc/self/task, Linux) and
 /// fails with FailedPrecondition instead of hanging; join worker
 /// threads (the thread-pool executor joins inside its own Execute)
-/// before running this one.
+/// before running this one. A thread joined just before the call may
+/// linger in /proc for a moment, so the count gets up to 100 ms to
+/// settle at one.
 class MultiProcExecutor final : public Executor {
  public:
   explicit MultiProcExecutor(RunOptions options);
@@ -69,10 +71,11 @@ class MultiProcExecutor final : public Executor {
   /// taken from the graph; on success every datum's final value is
   /// written back onto the graph entries (read them with FetchData).
   /// Cancellation (RunContext::cancel) is polled on every coordinator
-  /// scheduling pass; RunContext::scope is ignored (each Execute maps
-  /// a private arena, so concurrent runs cannot collide — but the
-  /// single-threaded-caller rule below rules concurrent callers out
-  /// anyway).
+  /// scheduling pass; telemetry goes to RunContext::metrics, or to
+  /// options().metrics when that is null. RunContext::scope is
+  /// ignored (each Execute maps a private arena, so concurrent runs
+  /// cannot collide — but the single-threaded-caller rule below rules
+  /// concurrent callers out anyway).
   Result<RunReport> Execute(TaskGraph& graph, const RunContext& ctx);
   Result<RunReport> Execute(TaskGraph& graph) {
     return Execute(graph, RunContext{});

@@ -1,6 +1,5 @@
 #include "storage/serializer.h"
 
-#include <array>
 #include <cstring>
 
 #include "common/strings.h"
@@ -12,18 +11,6 @@ namespace {
 constexpr uint32_t kMagic = 0x544b4c42;  // 'TBLK' little-endian-ish tag
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
-
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 template <typename T>
 void AppendPod(std::vector<uint8_t>* out, T value) {
@@ -39,15 +26,6 @@ T ReadPod(const uint8_t* p) {
 }
 
 }  // namespace
-
-uint32_t Serializer::Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
 
 uint64_t Serializer::SerializedSize(const data::Matrix& m) {
   return kHeaderBytes + m.bytes();

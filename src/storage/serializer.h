@@ -43,9 +43,26 @@ class Serializer {
   /// Size in bytes Serialize() will produce for `m`.
   static uint64_t SerializedSize(const data::Matrix& m);
 
-  /// CRC-32 (IEEE 802.3 polynomial) of `data`.
+  /// CRC-32 (IEEE 802.3 polynomial) of `data`. Runs a PCLMULQDQ fold
+  /// on x86 CPUs that support it and slice-by-16 tables elsewhere,
+  /// selected once per process; both give the same value.
   static uint32_t Crc32(const uint8_t* data, size_t size);
 };
+
+/// The two paths Serializer::Crc32 selects between, exposed for tests.
+namespace internal {
+
+/// Slice-by-16 table CRC-32; runs on every CPU.
+uint32_t Crc32Portable(const uint8_t* data, size_t size);
+
+/// True when this CPU can run Crc32Clmul's carry-less-multiply fold.
+bool Crc32ClmulSupported();
+
+/// Carry-less-multiply fold CRC-32. Call only when
+/// Crc32ClmulSupported(); on non-x86 builds it is Crc32Portable.
+uint32_t Crc32Clmul(const uint8_t* data, size_t size);
+
+}  // namespace internal
 
 }  // namespace taskbench::storage
 

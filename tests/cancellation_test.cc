@@ -271,6 +271,7 @@ TEST(ExecutorFactoryTest, ParsesAndConstructsAllKinds) {
     EXPECT_EQ(ExecutorKindName(*kind), name);
     ExecutorSpec spec;
     spec.kind = *kind;
+    spec.options.num_procs = 3;
     auto executor = MakeExecutor(spec);
     if (*kind == ExecutorKind::kProcs && !MultiProcExecutor::Supported()) {
       EXPECT_FALSE(executor.ok());
@@ -278,6 +279,8 @@ TEST(ExecutorFactoryTest, ParsesAndConstructsAllKinds) {
     }
     ASSERT_TRUE(executor.ok());
     EXPECT_FALSE((*executor)->name().empty());
+    // The worker count reaches the constructed executor unchanged.
+    EXPECT_EQ((*executor)->options().num_procs, 3);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "check/digest.h"
 #include "hw/cluster.h"
+#include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "runtime/multiproc_executor.h"
 #include "runtime/simulated_executor.h"
@@ -299,10 +300,14 @@ TEST(DeterminismTest, ImportedWorkflowValuesBitExactAcrossExecutors) {
     auto built = wf::BuildInstance(instance, wf::BuildOptions{});
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     RunOptions options;
-    options.num_threads = workers;
+    options.num_procs = workers;
     MultiProcExecutor executor(options);
-    auto report = executor.Execute(built->graph);
+    obs::MetricsRegistry metrics;
+    RunContext ctx;
+    ctx.metrics = &metrics;
+    auto report = executor.Execute(built->graph, ctx);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(metrics.gauge("pool.procs")->value(), workers);
     digests.push_back(ValueDigest(executor, built->graph, built->data));
   };
   for (int repeat = 0; repeat < 2; ++repeat) {
@@ -349,10 +354,14 @@ TEST(DeterminismTest, GeneratedWorkflowValuesBitExactAcrossExecutors) {
     auto built = wf::BuildInstance(instance, wf::BuildOptions{});
     ASSERT_TRUE(built.ok());
     RunOptions options;
-    options.num_threads = 2;
+    options.num_procs = 2;
     MultiProcExecutor executor(options);
-    auto report = executor.Execute(built->graph);
+    obs::MetricsRegistry metrics;
+    RunContext ctx;
+    ctx.metrics = &metrics;
+    auto report = executor.Execute(built->graph, ctx);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(metrics.gauge("pool.procs")->value(), 2);
     digests.push_back(ValueDigest(executor, built->graph, built->data));
   }
   for (size_t i = 1; i < digests.size(); ++i) {

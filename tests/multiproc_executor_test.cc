@@ -90,6 +90,25 @@ TEST(MultiProcExecutorTest, RunsDependencyChain) {
   EXPECT_TRUE(check::VerifyReport(graph, *report, context).ok());
 }
 
+TEST(MultiProcExecutorTest, PublishesToThePerRunMetricsRegistry) {
+  TaskGraph graph;
+  const DataId d0 = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId d1 = graph.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(graph.Submit(SimpleTask(d0, d1, AddOneKernel())).ok());
+
+  // Only the RunContext carries a registry: RunOptions::metrics is null.
+  MultiProcExecutor executor(ProcOptions(3));
+  ASSERT_EQ(executor.options().metrics, nullptr);
+  obs::MetricsRegistry metrics;
+  RunContext ctx;
+  ctx.metrics = &metrics;
+  auto report = executor.Execute(graph, ctx);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(metrics.gauge("pool.procs")->value(), 3);
+  EXPECT_EQ(metrics.histogram("task.simple.deserialize_s")->count(), 1);
+  EXPECT_EQ(metrics.histogram("task.simple.duration_s")->count(), 1);
+}
+
 TEST(MultiProcExecutorTest, SimulationOnlyGraphIsRejected) {
   TaskGraph graph;
   const DataId a = graph.AddData(static_cast<uint64_t>(64));
@@ -123,10 +142,14 @@ TEST(MultiProcExecutorTest, ValuesBitExactAcrossProcessCounts) {
       auto built = check::BuildWorkload(spec);
       ASSERT_TRUE(built.ok());
       MultiProcExecutor executor(ProcOptions(procs));
-      auto report = executor.Execute(built->graph);
+      obs::MetricsRegistry metrics;
+      RunContext ctx;
+      ctx.metrics = &metrics;
+      auto report = executor.Execute(built->graph, ctx);
       ASSERT_TRUE(report.ok())
           << procs << " procs, seed " << seed << ": "
           << report.status().ToString();
+      EXPECT_EQ(metrics.gauge("pool.procs")->value(), procs);
 
       check::InvariantContext context;
       context.num_threads = procs;

@@ -1,5 +1,9 @@
 #include "storage/serializer.h"
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -67,6 +71,96 @@ TEST(SerializerTest, Crc32KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926 (IEEE check value).
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Serializer::Crc32(data, sizeof(data)), 0xCBF43926u);
+  EXPECT_EQ(internal::Crc32Portable(data, sizeof(data)), 0xCBF43926u);
+  // Nine bytes are below the fold's 64-byte minimum, so this checks
+  // its table entry; the sweep below covers the fold itself.
+  if (internal::Crc32ClmulSupported()) {
+    EXPECT_EQ(internal::Crc32Clmul(data, sizeof(data)), 0xCBF43926u);
+  }
+}
+
+/// Bit-at-a-time CRC-32 straight from the definition: the reference
+/// both optimized paths must reproduce.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0xedb88320u & -(crc & 1));
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  std::vector<uint8_t> bytes(size);
+  Rng rng(seed);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  return bytes;
+}
+
+TEST(SerializerTest, Crc32PathsMatchBitwiseReference) {
+  // Every length across the fold's 64-byte minimum, its 64- and
+  // 16-byte strides and the table tails, at start offsets 0..15.
+  const std::vector<uint8_t> bytes = RandomBytes(1100 + 16, 5);
+  const bool clmul = internal::Crc32ClmulSupported();
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* p = bytes.data() + offset;
+      const uint32_t want = BitwiseCrc32(p, len);
+      ASSERT_EQ(internal::Crc32Portable(p, len), want)
+          << "portable, offset " << offset << ", length " << len;
+      if (clmul) {
+        ASSERT_EQ(internal::Crc32Clmul(p, len), want)
+            << "clmul, offset " << offset << ", length " << len;
+      }
+      ASSERT_EQ(Serializer::Crc32(p, len), want)
+          << "dispatched, offset " << offset << ", length " << len;
+    }
+  }
+  // The length of a serialized 512x512 block: 2 MiB plus 28 bytes.
+  const std::vector<uint8_t> big = RandomBytes((2u << 20) + 28, 6);
+  const uint32_t want = BitwiseCrc32(big.data(), big.size());
+  EXPECT_EQ(internal::Crc32Portable(big.data(), big.size()), want);
+  if (clmul) {
+    EXPECT_EQ(internal::Crc32Clmul(big.data(), big.size()), want);
+  }
+  EXPECT_EQ(Serializer::Crc32(big.data(), big.size()), want);
+}
+
+TEST(SerializerTest, EverySingleBitFlipInABlockIsRejected) {
+  const data::Matrix block = RandomMatrix(512, 512, 9);
+  std::vector<uint8_t> bytes;
+  Serializer::Serialize(block, &bytes);
+  // Flips land in the CRC field (bytes 24..27) or the payload; flips in
+  // the magic, version or dimensions fail the earlier header checks.
+  constexpr size_t kCrcOffset = 24;
+  Rng rng(17);
+  for (int i = 0; i < 1000; ++i) {
+    const size_t bit =
+        kCrcOffset * 8 + rng.NextBounded((bytes.size() - kCrcOffset) * 8);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const auto result = Serializer::Deserialize(bytes);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_FALSE(result.ok()) << "flip of bit " << bit << " accepted";
+    ASSERT_NE(result.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << "bit " << bit << ": " << result.status().ToString();
+  }
+  EXPECT_TRUE(Serializer::Deserialize(bytes).ok());
+}
+
+TEST(SerializerTest, WireFormatCrcIsPinned) {
+  // The CRC field the serializer wrote for this matrix before the
+  // table loop was replaced; stored blocks must keep verifying.
+  data::Matrix m(48, 40);
+  for (int64_t i = 0; i < 48; ++i) {
+    for (int64_t j = 0; j < 40; ++j) m.data()[i * 40 + j] = i - 0.25 * j;
+  }
+  std::vector<uint8_t> bytes;
+  Serializer::Serialize(m, &bytes);
+  ASSERT_EQ(bytes.size(), 28u + 48 * 40 * 8);
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data() + 24, sizeof(crc));
+  EXPECT_EQ(crc, 0xe3b2825eu);
 }
 
 TEST(SerializerTest, AppendsToExistingBuffer) {
