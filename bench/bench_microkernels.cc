@@ -37,7 +37,7 @@ void BM_DenseMultiply(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_DenseMultiply)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_DenseMultiply)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_DenseAdd(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -50,6 +50,17 @@ void BM_DenseAdd(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 3 * n * n * 8);
 }
 BENCHMARK(BM_DenseAdd)->Arg(256)->Arg(1024);
+
+void BM_DenseTranspose(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const tb::data::Matrix m = RandomMatrix(n, 1);
+  for (auto _ : state) {
+    tb::data::Matrix t = tb::data::Transpose(m);
+    benchmark::DoNotOptimize(t.data());
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * n * n * 8);
+}
+BENCHMARK(BM_DenseTranspose)->Arg(256)->Arg(1024);
 
 void BM_SerializeRoundTrip(benchmark::State& state) {
   const int64_t n = state.range(0);

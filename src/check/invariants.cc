@@ -215,18 +215,26 @@ Status CheckAttempts(const RunReport& report,
             return a.outcome != AttemptOutcome::kCompleted;
           })) -
       hedge_cancelled;
-  if (context.simulated && report.faults.retries != non_completed) {
+  // Every other failed attempt is retried, unless its hedge twin was
+  // still running and carried the task on (absorbed).
+  const int64_t absorbed = report.faults.hedge_absorbed;
+  if (context.simulated && report.faults.retries + absorbed != non_completed) {
     return Violation(StrFormat(
-        "retry counter %lld != %lld non-completed attempts",
+        "retry counter %lld + %lld hedge-absorbed failures != %lld "
+        "non-completed attempts",
         static_cast<long long>(report.faults.retries),
+        static_cast<long long>(absorbed),
         static_cast<long long>(non_completed)));
   }
-  // Every cancelled twin was launched as a hedge; a twin may also
-  // survive (its primary died), so cancellations never exceed hedges.
-  if (context.simulated && hedge_cancelled > report.faults.hedges) {
+  // Each hedge pair is broken at most once: its loser is cancelled,
+  // or one twin fails and the other carries on.
+  if (context.simulated &&
+      hedge_cancelled + absorbed > report.faults.hedges) {
     return Violation(StrFormat(
-        "%lld hedge cancellations exceed %lld hedges launched",
+        "%lld hedge cancellations + %lld hedge-absorbed failures exceed "
+        "%lld hedges launched",
         static_cast<long long>(hedge_cancelled),
+        static_cast<long long>(absorbed),
         static_cast<long long>(report.faults.hedges)));
   }
   return Status::OK();

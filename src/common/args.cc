@@ -27,16 +27,22 @@ Args Args::Parse(int argc, const char* const* argv) {
   return args;
 }
 
+const std::string* Args::Find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = options_.find(key);
+  return it == options_.end() ? nullptr : &it->second;
+}
+
 std::string Args::GetString(const std::string& key,
                             const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 Result<int64_t> Args::GetInt(const std::string& key, int64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  auto value = ParseInt64(it->second);
+  const std::string* text = Find(key);
+  if (text == nullptr) return fallback;
+  auto value = ParseInt64(*text);
   if (!value.ok()) {
     return value.status().WithContext(StrFormat("--%s", key.c_str()));
   }
@@ -44,9 +50,9 @@ Result<int64_t> Args::GetInt(const std::string& key, int64_t fallback) const {
 }
 
 Result<double> Args::GetDouble(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  auto value = ParseDouble(it->second);
+  const std::string* text = Find(key);
+  if (text == nullptr) return fallback;
+  auto value = ParseDouble(*text);
   if (!value.ok()) {
     return value.status().WithContext(StrFormat("--%s", key.c_str()));
   }
@@ -54,29 +60,33 @@ Result<double> Args::GetDouble(const std::string& key, double fallback) const {
 }
 
 Result<bool> Args::GetBool(const std::string& key, bool fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* text = Find(key);
+  if (text == nullptr) return fallback;
+  const std::string& v = *text;
   if (v.empty() || v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
   return Status::InvalidArgument(StrFormat(
       "--%s expects true/false, got '%s'", key.c_str(), v.c_str()));
 }
 
-std::vector<std::string> Args::UnknownKeys(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> unknown;
+std::vector<std::string> Args::UnreadKeys() const {
+  std::vector<std::string> unread;
   for (const auto& [key, _] : options_) {
-    bool found = false;
-    for (const std::string& k : known) {
-      if (k == key) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) unknown.push_back(key);
+    if (read_.count(key) == 0) unread.push_back(key);
   }
-  return unknown;
+  return unread;
+}
+
+Status Args::CheckAllRead() const {
+  const std::vector<std::string> unread = UnreadKeys();
+  if (unread.empty()) return Status::OK();
+  std::string names;
+  for (const std::string& key : unread) {
+    names += (names.empty() ? "--" : ", --") + key;
+  }
+  return Status::InvalidArgument(StrFormat(
+      "option%s not used by this command: %s",
+      unread.size() == 1 ? "" : "s", names.c_str()));
 }
 
 }  // namespace taskbench

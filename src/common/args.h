@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,10 @@ namespace taskbench {
 
 /// Minimal command-line parser for the tools: positional arguments
 /// plus `--key=value` / `--flag` options. No external dependencies.
+///
+/// Every accessor (Has and the Get* family) records the key as read,
+/// so after a command has consulted all the options it understands,
+/// CheckAllRead() refuses the ones it would otherwise silently ignore.
 class Args {
  public:
   /// Parses argv[1..). `--key=value` and `--key value` both work;
@@ -21,7 +26,7 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  bool Has(const std::string& key) const { return options_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   /// The option's value, or `fallback` when absent.
   std::string GetString(const std::string& key,
@@ -37,13 +42,19 @@ class Args {
   /// "false", "0" -> false; anything else fails.
   Result<bool> GetBool(const std::string& key, bool fallback) const;
 
-  /// Keys that were provided but are not in `known` (typo detection).
-  std::vector<std::string> UnknownKeys(
-      const std::vector<std::string>& known) const;
+  /// Keys that were provided but never read, in sorted order.
+  std::vector<std::string> UnreadKeys() const;
+
+  /// InvalidArgument naming every unread key, or OK when all were read.
+  Status CheckAllRead() const;
 
  private:
+  /// The value of `key` (recording it as read), or nullptr if absent.
+  const std::string* Find(const std::string& key) const;
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace taskbench

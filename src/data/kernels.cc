@@ -2,15 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
-#include <vector>
+#include <cstddef>
+#include <memory>
+#include <new>
 
 #include "common/strings.h"
 
-// This translation unit holds the hot kernels and is the only one the
-// build may compile with host-tuned codegen flags (-march=native when
-// available; see src/data/CMakeLists.txt). Keep slow-path / reference
-// code in matrix.cc so the benchmark baseline stays on the project's
-// default flags.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define TASKBENCH_GEMM_X86 1
+#include <immintrin.h>
+#endif
+
+// The blocked kernels. Everything here is compiled with the project's
+// default flags; the SIMD variants (GEMM micro-kernels, Add) carry
+// their instruction set in a function-level target attribute and are
+// picked once per process from the CPU's feature bits, so a binary
+// built on one host runs on any other. The naive reference kernels
+// live in matrix.cc.
 
 namespace taskbench::data {
 
@@ -18,38 +26,55 @@ namespace {
 
 std::atomic<KernelVariant> g_default_variant{KernelVariant::kBlocked};
 
-// GEMM tile geometry. The MR x NR register tile is accumulated in
-// locals across a full K panel (MR*NR = 64 doubles: 8 AVX-512 or 16
-// AVX2 accumulator registers once vectorized); KC sizes the packed
-// panels so an A slab (KC*MR) plus a B slab (KC*NR) stay L2-resident;
-// NC bounds the packed-B working set.
-constexpr int64_t kMr = 4;
-constexpr int64_t kNr = 16;
+// K-panel depth and packed-B panel width. A KC x NC panel of B
+// (256 x 528 doubles, ~1 MiB) stays L2-resident while every MR-row
+// slab of A streams past it; an MR x KC A slab (at most 16 KiB) sits
+// in L1.
 constexpr int64_t kKc = 256;
-constexpr int64_t kNc = 2048;
+constexpr int64_t kNc = 528;
 
 // Transpose tile edge: two 64x64 double tiles = 64 KiB, L1/L2 sized.
 constexpr int64_t kTransposeTile = 64;
 
-/// MR x NR micro-kernel: acc[r][j] += sum_k ap[k][r] * bp[k][j] with
-/// the accumulators held in registers for the whole K panel, then
-/// added into C once. `ap` is an MR-interleaved A slab, `bp` an
-/// NR-interleaved B slab (both packed, contiguous), so every load in
-/// the inner loop is sequential.
-__attribute__((always_inline)) inline void MicroKernel(
-    const double* __restrict ap, const double* __restrict bp,
-    double* __restrict c, int64_t ldc, int64_t kc) {
-  double acc0[kNr] = {};
-  double acc1[kNr] = {};
-  double acc2[kNr] = {};
-  double acc3[kNr] = {};
+constexpr int64_t RoundUp(int64_t x, int64_t to) {
+  return (x + to - 1) / to * to;
+}
+
+/// One GEMM micro-kernel: over a KC-deep panel it forms the MR x NR
+/// tile sum_k ap[k*MR + r] * bp[k*NR + j] in registers, then stores it
+/// into c (row stride ldc), or adds it to c when `accumulate`. `ap` is
+/// an MR-interleaved A slab, `bp` an NR-interleaved B slab.
+using TileFn = void (*)(const double* ap, const double* bp, double* c,
+                        int64_t ldc, int64_t kc, bool accumulate);
+
+struct GemmPath {
+  int64_t mr;
+  int64_t nr;
+  TileFn tile;
+};
+
+/// Elements in the largest MR x NR tile (AVX-512's 8 x 24).
+constexpr int64_t kMaxTile = 8 * 24;
+
+/// Portable MR x NR tile, 4 x 16, written so the vectorizer of the
+/// baseline ISA keeps it in registers.
+constexpr int64_t kPortableMr = 4;
+constexpr int64_t kPortableNr = 16;
+
+void TilePortable(const double* __restrict ap, const double* __restrict bp,
+                  double* __restrict c, int64_t ldc, int64_t kc,
+                  bool accumulate) {
+  double acc0[kPortableNr] = {};
+  double acc1[kPortableNr] = {};
+  double acc2[kPortableNr] = {};
+  double acc3[kPortableNr] = {};
   for (int64_t k = 0; k < kc; ++k) {
-    const double* __restrict bk = bp + k * kNr;
-    const double a0 = ap[k * kMr + 0];
-    const double a1 = ap[k * kMr + 1];
-    const double a2 = ap[k * kMr + 2];
-    const double a3 = ap[k * kMr + 3];
-    for (int64_t j = 0; j < kNr; ++j) {
+    const double* __restrict bk = bp + k * kPortableNr;
+    const double a0 = ap[k * kPortableMr + 0];
+    const double a1 = ap[k * kPortableMr + 1];
+    const double a2 = ap[k * kPortableMr + 2];
+    const double a3 = ap[k * kPortableMr + 3];
+    for (int64_t j = 0; j < kPortableNr; ++j) {
       const double bj = bk[j];
       acc0[j] += a0 * bj;
       acc1[j] += a1 * bj;
@@ -57,80 +82,290 @@ __attribute__((always_inline)) inline void MicroKernel(
       acc3[j] += a3 * bj;
     }
   }
-  for (int64_t j = 0; j < kNr; ++j) c[0 * ldc + j] += acc0[j];
-  for (int64_t j = 0; j < kNr; ++j) c[1 * ldc + j] += acc1[j];
-  for (int64_t j = 0; j < kNr; ++j) c[2 * ldc + j] += acc2[j];
-  for (int64_t j = 0; j < kNr; ++j) c[3 * ldc + j] += acc3[j];
+  const double* acc[kPortableMr] = {acc0, acc1, acc2, acc3};
+  for (int64_t r = 0; r < kPortableMr; ++r) {
+    double* crow = c + r * ldc;
+    for (int64_t j = 0; j < kPortableNr; ++j) {
+      crow[j] = accumulate ? crow[j] + acc[r][j] : acc[r][j];
+    }
+  }
 }
 
-/// C += A * B on raw row-major buffers (M x N times N x Q).
-void GemmBlocked(const double* a, const double* b, double* c, int64_t m,
-                 int64_t n, int64_t q) {
-  std::vector<double> bpack(static_cast<size_t>(kKc * kNc));
-  const int64_t full_rows = (m / kMr) * kMr;
-  std::vector<double> apack(static_cast<size_t>(full_rows * kKc));
+#ifdef TASKBENCH_GEMM_X86
+
+// The SIMD tiles use explicit FMA and the same per-element order (one
+// fused multiply-add per k, starting from zero, then one add into C),
+// so the AVX2 and AVX-512 paths produce identical doubles.
+
+/// AVX-512F tile: MR rows of NV 8-wide vectors, MR * NV accumulators.
+template <int64_t MR, int64_t NV>
+__attribute__((target("avx512f"))) void TileAvx512(
+    const double* __restrict ap, const double* __restrict bp,
+    double* __restrict c, int64_t ldc, int64_t kc, bool accumulate) {
+  constexpr int64_t kNr = 8 * NV;
+  __m512d acc[MR][NV];
+#pragma GCC unroll 32
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_pd();
+  }
+  for (int64_t k = 0; k < kc; ++k) {
+    __m512d b[NV];
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) {
+      b[v] = _mm512_load_pd(bp + k * kNr + 8 * v);
+    }
+#pragma GCC unroll 32
+    for (int64_t r = 0; r < MR; ++r) {
+      const __m512d a = _mm512_set1_pd(ap[k * MR + r]);
+#pragma GCC unroll 4
+      for (int64_t v = 0; v < NV; ++v) {
+        acc[r][v] = _mm512_fmadd_pd(a, b[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 32
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) {
+      double* dst = c + r * ldc + 8 * v;
+      _mm512_storeu_pd(dst, accumulate
+                                ? _mm512_add_pd(_mm512_loadu_pd(dst),
+                                                acc[r][v])
+                                : acc[r][v]);
+    }
+  }
+}
+
+/// AVX2+FMA tile: MR rows of NV 4-wide vectors.
+template <int64_t MR, int64_t NV>
+__attribute__((target("avx2,fma"))) void TileAvx2(
+    const double* __restrict ap, const double* __restrict bp,
+    double* __restrict c, int64_t ldc, int64_t kc, bool accumulate) {
+  constexpr int64_t kNr = 4 * NV;
+  __m256d acc[MR][NV];
+#pragma GCC unroll 32
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (int64_t k = 0; k < kc; ++k) {
+    __m256d b[NV];
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) {
+      b[v] = _mm256_load_pd(bp + k * kNr + 4 * v);
+    }
+#pragma GCC unroll 32
+    for (int64_t r = 0; r < MR; ++r) {
+      const __m256d a = _mm256_broadcast_sd(ap + k * MR + r);
+#pragma GCC unroll 4
+      for (int64_t v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(a, b[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 32
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < NV; ++v) {
+      double* dst = c + r * ldc + 4 * v;
+      _mm256_storeu_pd(dst, accumulate
+                                ? _mm256_add_pd(_mm256_loadu_pd(dst),
+                                                acc[r][v])
+                                : acc[r][v]);
+    }
+  }
+}
+
+#endif  // TASKBENCH_GEMM_X86
+
+const GemmPath& PathFor(internal::GemmIsa isa) {
+  static constexpr GemmPath kPortable{kPortableMr, kPortableNr, TilePortable};
+  static_assert(kPortableMr * kPortableNr <= kMaxTile);
+#ifdef TASKBENCH_GEMM_X86
+  // 8 x 24: 24 zmm accumulators + 3 B vectors + 1 broadcast of 32.
+  static constexpr GemmPath kAvx512{8, 24, TileAvx512<8, 3>};
+  // 6 x 8: 12 ymm accumulators + 2 B vectors + 1 broadcast of 16.
+  static constexpr GemmPath kAvx2{6, 8, TileAvx2<6, 2>};
+  static_assert(kAvx512.mr * kAvx512.nr <= kMaxTile &&
+                kAvx2.mr * kAvx2.nr <= kMaxTile);
+  if (isa == internal::GemmIsa::kAvx512) return kAvx512;
+  if (isa == internal::GemmIsa::kAvx2) return kAvx2;
+#endif
+  return kPortable;
+}
+
+/// 64-byte aligned scratch, left uninitialised.
+struct AlignedDelete {
+  void operator()(double* p) const {
+    ::operator delete[](p, std::align_val_t{64});
+  }
+};
+using PackBuffer = std::unique_ptr<double[], AlignedDelete>;
+
+PackBuffer NewPackBuffer(int64_t doubles) {
+  return PackBuffer(static_cast<double*>(::operator new[](
+      static_cast<size_t>(doubles) * sizeof(double), std::align_val_t{64})));
+}
+
+/// C = A * B on raw row-major buffers (M x N times N x Q), N > 0. C
+/// need not be initialised: the first K panel stores into it. Edge
+/// tiles run the same micro-kernel over zero-padded packed panels
+/// into a scratch tile, so every element sees the same arithmetic.
+void Gemm(const GemmPath& path, const double* a, const double* b, double* c,
+          int64_t m, int64_t n, int64_t q) {
+  const int64_t mr = path.mr;
+  const int64_t nr = path.nr;
+  const int64_t kc_max = std::min(n, kKc);
+  const PackBuffer apack = NewPackBuffer(RoundUp(m, mr) * kc_max);
+  const PackBuffer bpack =
+      NewPackBuffer(RoundUp(std::min(q, kNc), nr) * kc_max);
+  alignas(64) double edge[kMaxTile];
   for (int64_t kk = 0; kk < n; kk += kKc) {
     const int64_t kc = std::min(kKc, n - kk);
-    // Pack A rows [0, full_rows) of this K panel, MR-interleaved:
-    // apack[(i/MR)*(kc*MR) + k*MR + r] = A[i+r][kk+k].
-    for (int64_t i = 0; i < full_rows; i += kMr) {
-      double* dst = apack.data() + (i / kMr) * (kc * kMr);
+    const bool accumulate = kk > 0;
+    // A rows [0, m) of this K panel, MR-interleaved and zero-padded to
+    // a whole slab: apack[(i/MR)*(kc*MR) + k*MR + r] = A[i+r][kk+k].
+    for (int64_t i = 0; i < m; i += mr) {
+      double* dst = apack.get() + i * kc;
+      const int64_t rows = std::min(mr, m - i);
       for (int64_t k = 0; k < kc; ++k) {
-        for (int64_t r = 0; r < kMr; ++r) {
-          dst[k * kMr + r] = a[(i + r) * n + kk + k];
+        for (int64_t r = 0; r < rows; ++r) {
+          dst[k * mr + r] = a[(i + r) * n + kk + k];
         }
+        for (int64_t r = rows; r < mr; ++r) dst[k * mr + r] = 0.0;
       }
     }
     for (int64_t jj = 0; jj < q; jj += kNc) {
       const int64_t nc = std::min(kNc, q - jj);
-      // Pack B panel [kk, kk+kc) x [jj, jj+nc) into NR slabs, zero
-      // padding the ragged last slab so the micro-kernel never reads
-      // out of bounds.
-      for (int64_t jb = 0; jb < nc; jb += kNr) {
-        const int64_t nr = std::min(kNr, nc - jb);
-        double* dst = bpack.data() + jb * kc;
+      // B panel [kk, kk+kc) x [jj, jj+nc) as NR-wide slabs, the last
+      // one zero-padded.
+      for (int64_t jb = 0; jb < nc; jb += nr) {
+        const int64_t cols = std::min(nr, nc - jb);
+        double* dst = bpack.get() + jb * kc;
         for (int64_t k = 0; k < kc; ++k) {
           const double* src = b + (kk + k) * q + jj + jb;
-          for (int64_t j = 0; j < nr; ++j) dst[k * kNr + j] = src[j];
-          for (int64_t j = nr; j < kNr; ++j) dst[k * kNr + j] = 0.0;
+          std::copy(src, src + cols, dst + k * nr);
+          std::fill(dst + k * nr + cols, dst + (k + 1) * nr, 0.0);
         }
       }
-      for (int64_t i = 0; i < full_rows; i += kMr) {
-        const double* ap = apack.data() + (i / kMr) * (kc * kMr);
-        int64_t jb = 0;
-        for (; jb + kNr <= nc; jb += kNr) {
-          MicroKernel(ap, bpack.data() + jb * kc, c + i * q + jj + jb, q, kc);
-        }
-        if (jb < nc) {  // ragged j edge: guarded scalar tile
-          const int64_t nr = nc - jb;
-          const double* bp = bpack.data() + jb * kc;
-          for (int64_t k = 0; k < kc; ++k) {
-            for (int64_t r = 0; r < kMr; ++r) {
-              const double av = ap[k * kMr + r];
-              double* crow = c + (i + r) * q + jj + jb;
-              for (int64_t j = 0; j < nr; ++j) {
-                crow[j] += av * bp[k * kNr + j];
-              }
+      for (int64_t i = 0; i < m; i += mr) {
+        const double* ap = apack.get() + i * kc;
+        const int64_t rows = std::min(mr, m - i);
+        for (int64_t jb = 0; jb < nc; jb += nr) {
+          const double* bp = bpack.get() + jb * kc;
+          double* ct = c + i * q + jj + jb;
+          const int64_t cols = std::min(nr, nc - jb);
+          if (rows == mr && cols == nr) {
+            path.tile(ap, bp, ct, q, kc, accumulate);
+            continue;
+          }
+          path.tile(ap, bp, edge, nr, kc, /*accumulate=*/false);
+          for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t j = 0; j < cols; ++j) {
+              const double t = edge[r * nr + j];
+              ct[r * q + j] = accumulate ? ct[r * q + j] + t : t;
             }
           }
-        }
-      }
-      // Ragged i edge (m % MR trailing rows): streaming i-k-j over
-      // the original (unpacked) operands.
-      for (int64_t i = full_rows; i < m; ++i) {
-        const double* arow = a + i * n;
-        double* crow = c + i * q;
-        for (int64_t k = kk; k < kk + kc; ++k) {
-          const double aik = arow[k];
-          const double* brow = b + k * q;
-          for (int64_t j = jj; j < jj + nc; ++j) crow[j] += aik * brow[j];
         }
       }
     }
   }
 }
 
+/// pc = pa + pb elementwise, in index order (bit-identical to
+/// naive::Add at any vector width).
+__attribute__((always_inline)) inline void AddLoop(
+    const double* __restrict pa, const double* __restrict pb,
+    double* __restrict pc, int64_t size) {
+  for (int64_t i = 0; i < size; ++i) pc[i] = pa[i] + pb[i];
+}
+
+using AddFn = void (*)(const double*, const double*, double*, int64_t);
+
+void AddPortable(const double* pa, const double* pb, double* pc,
+                 int64_t size) {
+  AddLoop(pa, pb, pc, size);
+}
+
+#ifdef TASKBENCH_GEMM_X86
+__attribute__((target("avx2"))) void AddAvx2(const double* pa,
+                                             const double* pb, double* pc,
+                                             int64_t size) {
+  AddLoop(pa, pb, pc, size);
+}
+#endif
+
+AddFn SelectAdd() {
+#ifdef TASKBENCH_GEMM_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return AddAvx2;
+#endif
+  return AddPortable;
+}
+
+Result<Matrix> MultiplyOn(const GemmPath& path, const Matrix& a,
+                          const Matrix& b) {
+  if (a.cols() != b.rows()) {
+    return Status::InvalidArgument(StrFormat(
+        "matmul inner dimension mismatch: %lldx%lld * %lldx%lld",
+        static_cast<long long>(a.rows()), static_cast<long long>(a.cols()),
+        static_cast<long long>(b.rows()), static_cast<long long>(b.cols())));
+  }
+  if (a.cols() == 0) return Matrix(a.rows(), b.cols(), 0.0);
+  Matrix c = Matrix::Uninitialized(a.rows(), b.cols());
+  if (!c.empty()) {
+    Gemm(path, a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols());
+  }
+  return c;
+}
+
 }  // namespace
+
+namespace internal {
+
+const char* GemmIsaName(GemmIsa isa) {
+  switch (isa) {
+    case GemmIsa::kAvx512:
+      return "avx512";
+    case GemmIsa::kAvx2:
+      return "avx2";
+    case GemmIsa::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+bool GemmIsaSupported(GemmIsa isa) {
+#ifdef TASKBENCH_GEMM_X86
+  __builtin_cpu_init();
+  if (isa == GemmIsa::kAvx512) return __builtin_cpu_supports("avx512f");
+  if (isa == GemmIsa::kAvx2) {
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  }
+#endif
+  return isa == GemmIsa::kPortable;
+}
+
+GemmIsa DispatchedGemmIsa() {
+  static const GemmIsa isa = [] {
+    for (GemmIsa widest : {GemmIsa::kAvx512, GemmIsa::kAvx2}) {
+      if (GemmIsaSupported(widest)) return widest;
+    }
+    return GemmIsa::kPortable;
+  }();
+  return isa;
+}
+
+Result<Matrix> MultiplyWith(GemmIsa isa, const Matrix& a, const Matrix& b) {
+  if (!GemmIsaSupported(isa)) {
+    return Status::InvalidArgument(StrFormat(
+        "GEMM path %s is not supported by this CPU", GemmIsaName(isa)));
+  }
+  return MultiplyOn(PathFor(isa), a, b);
+}
+
+}  // namespace internal
 
 KernelVariant DefaultKernelVariant() {
   return g_default_variant.load(std::memory_order_relaxed);
@@ -143,17 +378,8 @@ void SetDefaultKernelVariant(KernelVariant variant) {
 namespace blocked {
 
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(StrFormat(
-        "matmul inner dimension mismatch: %lldx%lld * %lldx%lld",
-        static_cast<long long>(a.rows()), static_cast<long long>(a.cols()),
-        static_cast<long long>(b.rows()), static_cast<long long>(b.cols())));
-  }
-  Matrix c(a.rows(), b.cols(), 0.0);
-  if (!c.empty() && a.cols() > 0) {
-    GemmBlocked(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols());
-  }
-  return c;
+  static const GemmPath& path = PathFor(internal::DispatchedGemmIsa());
+  return MultiplyOn(path, a, b);
 }
 
 Result<Matrix> Add(const Matrix& a, const Matrix& b) {
@@ -163,24 +389,14 @@ Result<Matrix> Add(const Matrix& a, const Matrix& b) {
         static_cast<long long>(a.rows()), static_cast<long long>(a.cols()),
         static_cast<long long>(b.rows()), static_cast<long long>(b.cols())));
   }
-  Matrix c(a.rows(), a.cols());
-  const double* __restrict pa = a.data();
-  const double* __restrict pb = b.data();
-  double* __restrict pc = c.data();
-  const int64_t size = a.size();
-  int64_t i = 0;
-  for (; i + 4 <= size; i += 4) {
-    pc[i + 0] = pa[i + 0] + pb[i + 0];
-    pc[i + 1] = pa[i + 1] + pb[i + 1];
-    pc[i + 2] = pa[i + 2] + pb[i + 2];
-    pc[i + 3] = pa[i + 3] + pb[i + 3];
-  }
-  for (; i < size; ++i) pc[i] = pa[i] + pb[i];
+  static const AddFn add = SelectAdd();
+  Matrix c = Matrix::Uninitialized(a.rows(), a.cols());
+  add(a.data(), b.data(), c.data(), a.size());
   return c;
 }
 
 Matrix Transpose(const Matrix& m) {
-  Matrix out(m.cols(), m.rows());
+  Matrix out = Matrix::Uninitialized(m.cols(), m.rows());
   const int64_t rows = m.rows();
   const int64_t cols = m.cols();
   const double* src = m.data();

@@ -46,20 +46,21 @@ Matrix Transpose(const Matrix& m);
 
 }  // namespace naive
 
-/// Fast implementations: cache-blocked and register-tiled, written so
-/// the compiler's vectorizer produces FMA-friendly unrolled inner
-/// loops (see docs/REAL_EXECUTION.md for the tile geometry).
+/// Fast implementations: cache-blocked and register-tiled (see
+/// docs/REAL_EXECUTION.md for the tile geometry).
 namespace blocked {
 
 /// C = A * B via packed-panel GEMM: B is repacked into contiguous
 /// KC x NR slabs, A into KC x MR slabs, and an MR x NR register-tile
-/// micro-kernel accumulates in registers across each K panel.
-/// Summation order differs from naive::Multiply, so results agree to
-/// rounding (not bit-exactly).
+/// micro-kernel accumulates in registers across each K panel. The
+/// micro-kernel is the widest one this CPU runs (AVX-512F, AVX2+FMA,
+/// or portable C++), chosen once per process. Summation order differs
+/// from naive::Multiply, so results agree to rounding (not
+/// bit-exactly).
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b);
 
-/// C = A + B with an unrolled streaming loop. Bit-identical to
-/// naive::Add (addition order is unchanged).
+/// C = A + B with a streaming loop (AVX2 where the CPU has it).
+/// Bit-identical to naive::Add (each element is one addition).
 Result<Matrix> Add(const Matrix& a, const Matrix& b);
 
 /// Cache-blocked transpose (square tiles sized for L1). Bit-identical
@@ -67,6 +68,29 @@ Result<Matrix> Add(const Matrix& a, const Matrix& b);
 Matrix Transpose(const Matrix& m);
 
 }  // namespace blocked
+
+/// The GEMM paths blocked::Multiply selects between, exposed for tests.
+namespace internal {
+
+enum class GemmIsa {
+  kPortable,  ///< baseline C++, any CPU
+  kAvx2,      ///< AVX2 + FMA, 6 x 8 tile
+  kAvx512,    ///< AVX-512F, 8 x 24 tile
+};
+
+const char* GemmIsaName(GemmIsa isa);
+
+/// True when this binary has the path and this CPU can run it.
+bool GemmIsaSupported(GemmIsa isa);
+
+/// The path blocked::Multiply runs: the widest supported one.
+GemmIsa DispatchedGemmIsa();
+
+/// blocked::Multiply on a named path; fails when the path is not
+/// supported. The AVX2 and AVX-512 paths agree bit for bit.
+Result<Matrix> MultiplyWith(GemmIsa isa, const Matrix& a, const Matrix& b);
+
+}  // namespace internal
 
 }  // namespace taskbench::data
 

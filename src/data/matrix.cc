@@ -26,6 +26,14 @@ size_t CheckedElementCount(int64_t rows, int64_t cols) {
 Matrix::Matrix(int64_t rows, int64_t cols, double fill)
     : rows_(rows), cols_(cols), data_(CheckedElementCount(rows, cols), fill) {}
 
+Matrix Matrix::Uninitialized(int64_t rows, int64_t cols) {
+  Matrix m;
+  m.data_.resize(CheckedElementCount(rows, cols));
+  m.rows_ = rows;
+  m.cols_ = cols;
+  return m;
+}
+
 Result<Matrix> Matrix::Slice(int64_t row0, int64_t col0, int64_t rows,
                              int64_t cols) const {
   if (row0 < 0 || col0 < 0 || rows < 0 || cols < 0 || row0 + rows > rows_ ||

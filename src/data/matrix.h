@@ -2,12 +2,34 @@
 #define TASKBENCH_DATA_MATRIX_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 
 namespace taskbench::data {
+
+/// std::allocator that default-initialises instead of value-
+/// initialising, so a vector of doubles can be sized without zeroing.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// A dense row-major matrix of float64 values — the in-memory block
 /// representation (the paper's datasets are NumPy float64 arrays,
@@ -18,6 +40,9 @@ class Matrix {
   Matrix() = default;
   /// A rows x cols matrix initialized to `fill`.
   Matrix(int64_t rows, int64_t cols, double fill = 0.0);
+  /// A rows x cols matrix whose elements are left unspecified, for
+  /// kernels that write every element before anything reads it.
+  static Matrix Uninitialized(int64_t rows, int64_t cols);
 
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;
@@ -63,7 +88,7 @@ class Matrix {
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// C = A * B. Fails on inner-dimension mismatch. Dispatches to the

@@ -68,6 +68,8 @@ struct FaultStats {
   int64_t dead_nodes = 0;        ///< nodes out of service at the end
   int64_t hedges = 0;            ///< speculative straggler duplicates
                                  ///< launched (cost-model policy)
+  int64_t hedge_absorbed = 0;    ///< failed attempts whose hedge twin
+                                 ///< carried the task on (no retry)
 
   bool any() const {
     return faults_injected || storage_faults || retries ||

@@ -1029,6 +1029,7 @@ class SimState {
       // active-run registration pointing at the survivor so lineage
       // recovery still sees a live writer.
       DetachTwin(run);
+      ++stats_.hedge_absorbed;
       RetireRun(run);
       ReleaseRun(run);
       return;
@@ -1064,6 +1065,7 @@ class SimState {
       // The duplicate survives the fault that took this attempt down —
       // exactly the scenario hedging exists for. No retry needed.
       DetachTwin(run);
+      ++stats_.hedge_absorbed;
       RetireRun(run);
       TB_CHECK(run->inflight > 0) << "killed a run with no queued event";
       return;

@@ -266,11 +266,9 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // them, so it leaves no trace.
   //
   // Only tasks whose re-execution is provably idempotent are
-  // hedgeable: no INOUT params (a duplicate would double-apply the
-  // in-place update) and every accessed datum has at most one writer
-  // in the whole graph (a zombie attempt can then neither observe a
-  // rewritten input nor clobber a successor's newer output — its
-  // storage writes are byte-identical replays). Gated on
+  // hedgeable (internal::HedgeableTasks): a zombie attempt then can
+  // neither observe a rewritten input nor clobber a successor's newer
+  // output — its storage writes are byte-identical replays. Gated on
   // max_retries == 0 so hedging never interleaves with the retry /
   // attempt-log machinery.
   // ----------------------------------------------------------------
@@ -284,22 +282,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   std::vector<std::atomic<int64_t>> running_task;
   std::vector<std::atomic<int64_t>> running_since_ns;
   if (hedge) {
-    std::vector<int> writer_count(static_cast<size_t>(graph.num_data()), 0);
-    for (TaskId t = 0; t < total; ++t) {
-      for (const Param& p : graph.task(t).spec.params) {
-        if (p.dir != Dir::kIn) ++writer_count[static_cast<size_t>(p.data)];
-      }
-    }
-    hedgeable.assign(static_cast<size_t>(total), 1);
-    for (TaskId t = 0; t < total; ++t) {
-      for (const Param& p : graph.task(t).spec.params) {
-        if (p.dir == Dir::kInOut ||
-            writer_count[static_cast<size_t>(p.data)] > 1) {
-          hedgeable[static_cast<size_t>(t)] = 0;
-          break;
-        }
-      }
-    }
+    hedgeable = internal::HedgeableTasks(graph);
     std::vector<std::atomic<char>> claims(static_cast<size_t>(total));
     hedge_claim = std::move(claims);
     std::vector<std::atomic<char>> tried(static_cast<size_t>(total));
@@ -1042,5 +1025,36 @@ Result<data::Matrix> ThreadPoolExecutor::FetchData(const TaskGraph& graph,
   }
   return *entry.value;
 }
+
+namespace internal {
+
+std::vector<char> HedgeableTasks(const TaskGraph& graph) {
+  const int64_t total = graph.num_tasks();
+  std::vector<int> writer_count(static_cast<size_t>(graph.num_data()), 0);
+  // Tasks are submitted in program order, so a writer with a higher id
+  // than a reader runs after it.
+  std::vector<TaskId> last_writer(static_cast<size_t>(graph.num_data()), -1);
+  for (TaskId t = 0; t < total; ++t) {
+    for (const Param& p : graph.task(t).spec.params) {
+      if (p.dir == Dir::kIn) continue;
+      ++writer_count[static_cast<size_t>(p.data)];
+      last_writer[static_cast<size_t>(p.data)] = t;
+    }
+  }
+  std::vector<char> hedgeable(static_cast<size_t>(total), 1);
+  for (TaskId t = 0; t < total; ++t) {
+    for (const Param& p : graph.task(t).spec.params) {
+      const size_t d = static_cast<size_t>(p.data);
+      if (p.dir == Dir::kInOut || writer_count[d] > 1 ||
+          (p.dir == Dir::kIn && last_writer[d] > t)) {
+        hedgeable[static_cast<size_t>(t)] = 0;
+        break;
+      }
+    }
+  }
+  return hedgeable;
+}
+
+}  // namespace internal
 
 }  // namespace taskbench::runtime

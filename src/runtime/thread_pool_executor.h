@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "data/matrix.h"
@@ -91,6 +92,17 @@ class ThreadPoolExecutor final : public Executor {
   mutable std::mutex fetch_mu_;
   mutable std::unique_ptr<storage::BlockCache> fetch_cache_;
 };
+
+namespace internal {
+
+/// Per task, whether a speculative duplicate may re-run it: replaying
+/// it must be idempotent and unable to see a different input. So the
+/// task has no INOUT param, every datum it touches has at most one
+/// writer, and no datum it reads is written by a later task (that
+/// write could land while a duplicate is still reading).
+std::vector<char> HedgeableTasks(const TaskGraph& graph);
+
+}  // namespace internal
 
 }  // namespace taskbench::runtime
 

@@ -63,9 +63,47 @@ TEST(ArgsTest, SpaceSeparatedValueNotConsumedForNextOption) {
 
 TEST(ArgsTest, UnknownKeysDetectsTypos) {
   const Args args = Make({"--grdi=4x4", "--processor=CPU"});
-  const auto unknown = args.UnknownKeys({"grid", "processor"});
+  EXPECT_EQ(args.GetString("grid", "8x8"), "8x8");
+  EXPECT_EQ(args.GetString("processor"), "CPU");
+  const auto unknown = args.UnreadKeys();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "grdi");
+  const Status status = args.CheckAllRead();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("--grdi"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ArgsTest, EveryAccessorMarksItsKeyRead) {
+  const Args args =
+      Make({"--s=x", "--i=1", "--d=0.5", "--b", "--h=1", "--never=2"});
+  EXPECT_EQ(args.UnreadKeys().size(), 6u);
+  args.GetString("s");
+  ASSERT_TRUE(args.GetInt("i", 0).ok());
+  ASSERT_TRUE(args.GetDouble("d", 0).ok());
+  ASSERT_TRUE(args.GetBool("b", false).ok());
+  EXPECT_TRUE(args.Has("h"));
+  EXPECT_EQ(args.UnreadKeys(), std::vector<std::string>{"never"});
+}
+
+TEST(ArgsTest, CheckAllReadNamesEveryUnreadKey) {
+  const Args args = Make({"run", "--grid=4x4", "--zz=1", "--aa"});
+  args.GetString("grid");
+  args.GetString("absent");  // reading an absent key is harmless
+  const Status status = args.CheckAllRead();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("--aa, --zz"), std::string::npos)
+      << status.ToString();
+  args.GetBool("aa", false);
+  args.GetInt("zz", 0);
+  EXPECT_TRUE(args.CheckAllRead().ok());
+}
+
+TEST(ArgsTest, NoOptionsPassesCheck) {
+  const Args args = Make({"run", "positional"});
+  EXPECT_TRUE(args.UnreadKeys().empty());
+  EXPECT_TRUE(args.CheckAllRead().ok());
 }
 
 }  // namespace

@@ -70,6 +70,20 @@ TEST(DifferentialSmokeTest, WfBenchSeedsAgreeAcrossTheMatrix) {
   }
 }
 
+// These seeds' cost-policy fault legs fail one hedge twin while the
+// other carries the task on; the invariant checker must count that
+// failure as absorbed, not as a missing retry.
+TEST(DifferentialSmokeTest, HedgeAbsorbedFailuresPassTheInvariants) {
+  for (uint64_t seed : {27, 71, 72}) {
+    const WorkloadSpec spec = GenerateWfSpec(seed);
+    const DifferentialResult result =
+        RunDifferential(spec, DifferentialOptions{});
+    EXPECT_TRUE(result.ok()) << "wf seed " << seed << " ("
+                             << spec.Describe() << ") diverged:\n"
+                             << result.Summary();
+  }
+}
+
 TEST(DifferentialSmokeTest, WfImportSpecRunsTheMatrix) {
   // An inline WfFormat document through the kWfImport family: the
   // fixture-file variant of this path is wf_import_test; here the

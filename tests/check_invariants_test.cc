@@ -167,6 +167,47 @@ TEST(VerifyReportTest, RejectsNonMonotonicAttemptNumbers) {
       VerifyReport(run.built.graph, run.report, context).ok());
 }
 
+/// A faulted report where task 0's first attempt fails at 0.1 while a
+/// second attempt (a hedge twin, started at 0.05) completes.
+SimRun HedgePairWithOneFailure(int64_t hedges, int64_t absorbed) {
+  SimRun run = RunSim();
+  run.report.faults.hedges = hedges;
+  run.report.faults.hedge_absorbed = absorbed;
+  run.report.attempts.push_back({0, 1, 0, Processor::kCpu, 0.0, 0.1,
+                                 runtime::AttemptOutcome::kStorageFault});
+  run.report.attempts.push_back({0, 2, 1, Processor::kCpu, 0.05, 0.3,
+                                 runtime::AttemptOutcome::kCompleted});
+  return run;
+}
+
+TEST(VerifyReportTest, AcceptsFailureAbsorbedByHedgeTwin) {
+  SimRun run = HedgePairWithOneFailure(/*hedges=*/1, /*absorbed=*/1);
+  InvariantContext context = SimContext(run);
+  context.faulted = true;
+  const Status s = VerifyReport(run.built.graph, run.report, context);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(VerifyReportTest, RejectsFailureNeitherRetriedNorAbsorbed) {
+  SimRun run = HedgePairWithOneFailure(/*hedges=*/1, /*absorbed=*/0);
+  InvariantContext context = SimContext(run);
+  context.faulted = true;
+  const Status s = VerifyReport(run.built.graph, run.report, context);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("non-completed"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(VerifyReportTest, RejectsMoreAbsorbedFailuresThanHedges) {
+  SimRun run = HedgePairWithOneFailure(/*hedges=*/0, /*absorbed=*/1);
+  InvariantContext context = SimContext(run);
+  context.faulted = true;
+  const Status s = VerifyReport(run.built.graph, run.report, context);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("hedges launched"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(VerifyReportTest, OnlineSimCheckerPassesCleanRuns) {
   // check_invariants defaults on; an explicit off must also work and
   // produce the identical report (the checker observes, never steers).

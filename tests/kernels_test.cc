@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,149 @@ TEST(KernelsTest, BlockedMultiplyMatchesNaiveAcrossShapes) {
     // rounding error (k accumulations of O(1) terms).
     EXPECT_LT(reference->MaxAbsDiff(*fast), 1e-10)
         << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+constexpr internal::GemmIsa kAllGemmIsas[] = {internal::GemmIsa::kPortable,
+                                               internal::GemmIsa::kAvx2,
+                                               internal::GemmIsa::kAvx512};
+
+std::vector<internal::GemmIsa> SupportedGemmIsas() {
+  std::vector<internal::GemmIsa> isas;
+  for (internal::GemmIsa isa : kAllGemmIsas) {
+    if (internal::GemmIsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// Every compiled GEMM path this CPU runs, against the reference, on
+// shapes around each path's MR (4, 6, 8), NR (8, 16, 24) and KC (256)
+// edges, plus the 512^3 workload block.
+TEST(KernelsTest, EveryGemmPathMatchesNaiveAcrossRaggedShapes) {
+  std::vector<int64_t> ms, qs;
+  for (int64_t v = 1; v <= 17; ++v) ms.push_back(v);
+  for (int64_t v : {63, 64, 65, 512}) ms.push_back(v);
+  for (int64_t v = 1; v <= 33; ++v) qs.push_back(v);
+  for (int64_t v : {47, 48, 49, 512}) qs.push_back(v);
+  const std::vector<int64_t> ns = {1, 255, 256, 257, 513};
+  const std::vector<internal::GemmIsa> isas = SupportedGemmIsas();
+  ASSERT_FALSE(isas.empty());
+  for (const int64_t m : ms) {
+    for (const int64_t n : ns) {
+      const Matrix a = RandomMatrix(m, n, 1000 + m * 7 + n);
+      for (const int64_t q : qs) {
+        const Matrix b = RandomMatrix(n, q, 2000 + n * 7 + q);
+        auto reference = naive::Multiply(a, b);
+        ASSERT_TRUE(reference.ok());
+        for (const internal::GemmIsa isa : isas) {
+          auto fast = internal::MultiplyWith(isa, a, b);
+          ASSERT_TRUE(fast.ok()) << internal::GemmIsaName(isa);
+          ASSERT_EQ(fast->rows(), m);
+          ASSERT_EQ(fast->cols(), q);
+          ASSERT_LT(reference->MaxAbsDiff(*fast), 1e-10)
+              << internal::GemmIsaName(isa) << " " << m << "x" << n << "x"
+              << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, EveryGemmPathHandlesEmptyOperands) {
+  for (const internal::GemmIsa isa : SupportedGemmIsas()) {
+    SCOPED_TRACE(internal::GemmIsaName(isa));
+    auto zero_k = internal::MultiplyWith(isa, Matrix(5, 0), Matrix(0, 3));
+    ASSERT_TRUE(zero_k.ok());
+    EXPECT_EQ(*zero_k, Matrix(5, 3, 0.0));
+    auto zero_m = internal::MultiplyWith(isa, Matrix(0, 4), Matrix(4, 3));
+    ASSERT_TRUE(zero_m.ok());
+    EXPECT_EQ(zero_m->rows(), 0);
+    EXPECT_EQ(zero_m->cols(), 3);
+    auto zero_q = internal::MultiplyWith(isa, Matrix(3, 4), Matrix(4, 0));
+    ASSERT_TRUE(zero_q.ok());
+    EXPECT_EQ(zero_q->rows(), 3);
+    EXPECT_EQ(zero_q->cols(), 0);
+    EXPECT_FALSE(internal::MultiplyWith(isa, Matrix(2, 3), Matrix(2, 3)).ok());
+  }
+}
+
+TEST(KernelsTest, UnsupportedGemmPathIsRefused) {
+  for (const internal::GemmIsa isa : kAllGemmIsas) {
+    if (internal::GemmIsaSupported(isa)) continue;
+    EXPECT_FALSE(internal::MultiplyWith(isa, Matrix(2, 2), Matrix(2, 2)).ok())
+        << internal::GemmIsaName(isa);
+  }
+  EXPECT_TRUE(internal::GemmIsaSupported(internal::GemmIsa::kPortable));
+}
+
+// The SIMD tiles differ in shape but not in per-element arithmetic, so
+// they must produce the same doubles.
+TEST(KernelsTest, SimdGemmPathsAgreeBitForBit) {
+  if (!internal::GemmIsaSupported(internal::GemmIsa::kAvx2) ||
+      !internal::GemmIsaSupported(internal::GemmIsa::kAvx512)) {
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 path";
+  }
+  for (const MatmulShape& s : kMatmulShapes) {
+    const Matrix a = RandomMatrix(s.m, s.k, 3000 + s.m);
+    const Matrix b = RandomMatrix(s.k, s.n, 4000 + s.n);
+    auto avx2 = internal::MultiplyWith(internal::GemmIsa::kAvx2, a, b);
+    auto avx512 = internal::MultiplyWith(internal::GemmIsa::kAvx512, a, b);
+    ASSERT_TRUE(avx2.ok());
+    ASSERT_TRUE(avx512.ok());
+    EXPECT_EQ(*avx2, *avx512) << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+// A silent fallback to a narrower kernel would pass every accuracy
+// test, so pin the dispatch to what the CPU reports.
+TEST(KernelsTest, DispatchPicksWidestSupportedGemmPath) {
+  internal::GemmIsa widest = internal::GemmIsa::kPortable;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    widest = internal::GemmIsa::kAvx512;
+  } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    widest = internal::GemmIsa::kAvx2;
+  }
+#endif
+  EXPECT_EQ(internal::DispatchedGemmIsa(), widest)
+      << "dispatched " << internal::GemmIsaName(internal::DispatchedGemmIsa())
+      << ", CPU supports " << internal::GemmIsaName(widest);
+  EXPECT_TRUE(internal::GemmIsaSupported(widest));
+
+  const Matrix a = RandomMatrix(65, 257, 5);
+  const Matrix b = RandomMatrix(257, 49, 6);
+  auto dispatched = blocked::Multiply(a, b);
+  auto named = internal::MultiplyWith(widest, a, b);
+  ASSERT_TRUE(dispatched.ok());
+  ASSERT_TRUE(named.ok());
+  EXPECT_EQ(*dispatched, *named);
+}
+
+TEST(KernelsTest, BlockedMultiplyIsBitIdenticalAcrossCallsAndThreads) {
+  const Matrix a = RandomMatrix(137, 300, 7);
+  const Matrix b = RandomMatrix(300, 91, 8);
+  auto first = blocked::Multiply(a, b);
+  ASSERT_TRUE(first.ok());
+  for (int rep = 0; rep < 3; ++rep) {
+    auto again = blocked::Multiply(a, b);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *first) << "repeat " << rep;
+  }
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 5; ++rep) {
+        auto c = blocked::Multiply(a, b);
+        if (!c.ok() || !(*c == *first)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

@@ -351,6 +351,10 @@ TEST(WorkflowServiceTest, ShutdownCancelsPendingAndRefusesNew) {
   ASSERT_TRUE(queued.ok());
 
   std::thread shutdown_thread([&] { service.Shutdown(); });
+  // Open the gate only once Shutdown has cancelled the queued
+  // submission: opened earlier, the runner may finish the gated one
+  // and start the queued one before Shutdown gets to it.
+  while (service.Report().still_queued != 0) std::this_thread::yield();
   gate.Open();
   shutdown_thread.join();
 

@@ -197,6 +197,40 @@ INSTANTIATE_TEST_SUITE_P(StorageModes, ThreadPoolExecutorModes,
                            return info.param ? "WithStorage" : "InMemory";
                          });
 
+// The k-means shape: partial = f(block, centroids), then a merge
+// updates centroids in place. A duplicate of the partial task still
+// reading centroids after the merge wrote them would store a wrong
+// partial, so it must not be hedgeable; a reader of a datum whose one
+// writer ran before it may be.
+TEST(ThreadPoolExecutorTest, HedgingSkipsReadersOfLaterRewrittenData) {
+  TaskGraph graph;
+  const DataId block = graph.AddData(data::Matrix(2, 2, 1.0));
+  const DataId centroids = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId partial = graph.AddData(static_cast<uint64_t>(32));
+  const DataId copy = graph.AddData(static_cast<uint64_t>(32));
+  TaskSpec partial_sum;
+  partial_sum.type = "partial";
+  partial_sum.params = {
+      {block, Dir::kIn}, {centroids, Dir::kIn}, {partial, Dir::kOut}};
+  partial_sum.kernel = AddOneKernel();
+  auto t_partial = graph.Submit(partial_sum);
+  TaskSpec merge;
+  merge.type = "merge";
+  merge.params = {{partial, Dir::kIn}, {centroids, Dir::kInOut}};
+  merge.kernel = AddOneKernel();
+  auto t_merge = graph.Submit(merge);
+  auto t_copy = graph.Submit(SimpleTask(partial, copy, AddOneKernel()));
+  ASSERT_TRUE(t_partial.ok() && t_merge.ok() && t_copy.ok());
+
+  const std::vector<char> hedgeable = internal::HedgeableTasks(graph);
+  ASSERT_EQ(hedgeable.size(), 3u);
+  EXPECT_EQ(hedgeable[static_cast<size_t>(*t_partial)], 0)
+      << "reads centroids, which the merge rewrites later";
+  EXPECT_EQ(hedgeable[static_cast<size_t>(*t_merge)], 0) << "INOUT";
+  EXPECT_EQ(hedgeable[static_cast<size_t>(*t_copy)], 1)
+      << "reads a datum whose only writer ran before it";
+}
+
 TEST(ThreadPoolExecutorTest, ManyThreadsManyTasksStress) {
   TaskGraph graph;
   const DataId in = graph.AddData(data::Matrix(4, 4, 1.0));

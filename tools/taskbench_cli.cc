@@ -33,6 +33,9 @@
 //   recommend  Auto-tune block dimension + processor for a workload.
 //   dag        Print the workflow DAG in Graphviz DOT format.
 //
+// Every command refuses (exit 1, naming them) the options it would
+// ignore: unknown flags, typos, and flags another command takes.
+//
 // Common options:
 //   --algorithm=matmul|matmul-fma|kmeans|logreg|transpose
 //   --dataset=matmul-8gb|matmul-32gb|kmeans-10gb|kmeans-100gb|...
@@ -117,6 +120,13 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+/// Each command calls this once it has read every option it uses:
+/// any other option would be silently ignored, so it is refused.
+int FailOnUnread(const tb::Args& args) {
+  const tb::Status unread = args.CheckAllRead();
+  return unread.ok() ? 0 : Fail(unread.ToString());
+}
+
 tb::Result<Algorithm> ParseAlgorithm(const std::string& name) {
   if (name == "matmul") return Algorithm::kMatmul;
   if (name == "matmul-fma") return Algorithm::kMatmulFma;
@@ -164,30 +174,40 @@ tb::Result<std::pair<int64_t, int64_t>> ParseGrid(const std::string& text) {
   return std::make_pair(r, c);
 }
 
-tb::Result<ExperimentConfig> BuildConfig(const tb::Args& args) {
+/// Reads the experiment options. Commands that vary the grid and the
+/// processor themselves (sweep, recommend) pass `fixed_grid` = false,
+/// which leaves --grid and --processor unread, so they are refused.
+tb::Result<ExperimentConfig> BuildConfig(const tb::Args& args,
+                                         bool fixed_grid = true) {
   ExperimentConfig config;
   TB_ASSIGN_OR_RETURN(config.algorithm,
                       ParseAlgorithm(args.GetString("algorithm", "matmul")));
   TB_ASSIGN_OR_RETURN(config.dataset, ParseDataset(args, config.algorithm));
-  TB_ASSIGN_OR_RETURN(
-      const auto grid,
-      ParseGrid(args.GetString(
-          "grid", config.algorithm == Algorithm::kKMeans ? "256x1" : "8x8")));
-  config.grid_rows = grid.first;
-  config.grid_cols = grid.second;
-  TB_ASSIGN_OR_RETURN(const int64_t clusters, args.GetInt("clusters", 10));
-  config.clusters = static_cast<int>(clusters);
-  TB_ASSIGN_OR_RETURN(const int64_t iters, args.GetInt("iterations", 1));
-  config.iterations = static_cast<int>(iters);
-
-  const std::string processor = args.GetString("processor", "cpu");
-  if (processor == "cpu") {
-    config.processor = tb::Processor::kCpu;
-  } else if (processor == "gpu") {
-    config.processor = tb::Processor::kGpu;
-  } else {
-    return tb::Status::InvalidArgument("--processor expects cpu|gpu");
+  if (fixed_grid) {
+    TB_ASSIGN_OR_RETURN(
+        const auto grid,
+        ParseGrid(args.GetString(
+            "grid",
+            config.algorithm == Algorithm::kKMeans ? "256x1" : "8x8")));
+    config.grid_rows = grid.first;
+    config.grid_cols = grid.second;
+    const std::string processor = args.GetString("processor", "cpu");
+    if (processor == "cpu") {
+      config.processor = tb::Processor::kCpu;
+    } else if (processor == "gpu") {
+      config.processor = tb::Processor::kGpu;
+    } else {
+      return tb::Status::InvalidArgument("--processor expects cpu|gpu");
+    }
   }
+  // Only K-means has clusters and an outer loop.
+  if (config.algorithm == Algorithm::kKMeans) {
+    TB_ASSIGN_OR_RETURN(const int64_t clusters, args.GetInt("clusters", 10));
+    config.clusters = static_cast<int>(clusters);
+    TB_ASSIGN_OR_RETURN(const int64_t iters, args.GetInt("iterations", 1));
+    config.iterations = static_cast<int>(iters);
+  }
+
   const std::string storage = args.GetString("storage", "shared");
   if (storage == "local") {
     config.run.storage = tb::hw::StorageArchitecture::kLocalDisk;
@@ -254,8 +274,7 @@ tb::Result<tb::runtime::TaskGraph> BuildGraphFor(
 /// Runs one experiment, optionally in hybrid placement mode
 /// (--hybrid re-executes the built workflow with spilling enabled).
 tb::Result<tb::analysis::ExperimentResult> RunMaybeHybrid(
-    const tb::Args& args, const ExperimentConfig& config) {
-  TB_ASSIGN_OR_RETURN(const bool hybrid, args.GetBool("hybrid", false));
+    bool hybrid, const ExperimentConfig& config) {
   if (!hybrid) return tb::analysis::RunExperiment(config);
 
   TB_ASSIGN_OR_RETURN(tb::analysis::ExperimentResult result,
@@ -275,9 +294,22 @@ tb::Result<tb::analysis::ExperimentResult> RunMaybeHybrid(
 int CmdRun(const tb::Args& args) {
   auto config = BuildConfig(args);
   if (!config.ok()) return Fail(config.status().ToString());
+  const auto hybrid = args.GetBool("hybrid", false);
+  if (!hybrid.ok()) return Fail(hybrid.status().ToString());
+  const auto gantt = args.GetBool("gantt", false);
+  if (!gantt.ok()) return Fail(gantt.status().ToString());
+  const bool trace = args.Has("trace");
+  // Dependency arrows only exist in a trace; without --trace the flag
+  // stays unread and is refused.
+  const auto flow = trace ? args.GetBool("flow-events", false) : false;
+  if (!flow.ok()) return Fail(flow.status().ToString());
+  const bool metrics_json = args.Has("metrics-json");
+  const bool csv = args.Has("csv");
+  if (const int rc = FailOnUnread(args)) return rc;
+
   tb::obs::MetricsRegistry registry;
-  if (args.Has("metrics-json")) config->run.metrics = &registry;
-  auto result = RunMaybeHybrid(args, *config);
+  if (metrics_json) config->run.metrics = &registry;
+  auto result = RunMaybeHybrid(*hybrid, *config);
   if (!result.ok()) return Fail(result.status().ToString());
 
   std::printf("experiment: %s\n", config->label.c_str());
@@ -332,14 +364,10 @@ int CmdRun(const tb::Args& args) {
   }
   std::printf("%s", stages.ToString().c_str());
 
-  auto gantt = args.GetBool("gantt", false);
-  if (!gantt.ok()) return Fail(gantt.status().ToString());
   if (*gantt) {
     std::printf("\n%s", tb::analysis::AsciiGantt(result->report).c_str());
   }
-  if (args.Has("trace")) {
-    auto flow = args.GetBool("flow-events", false);
-    if (!flow.ok()) return Fail(flow.status().ToString());
+  if (trace) {
     tb::runtime::TraceOptions trace_options;
     tb::runtime::TaskGraph graph;
     if (*flow) {
@@ -356,14 +384,14 @@ int CmdRun(const tb::Args& args) {
     if (!status.ok()) return Fail(status.ToString());
     std::printf("trace written to %s\n", args.GetString("trace").c_str());
   }
-  if (args.Has("metrics-json")) {
+  if (metrics_json) {
     const tb::Status status = tb::runtime::WriteMetricsJson(
         result->report, &registry, args.GetString("metrics-json"));
     if (!status.ok()) return Fail(status.ToString());
     std::printf("metrics written to %s\n",
                 args.GetString("metrics-json").c_str());
   }
-  if (args.Has("csv")) {
+  if (csv) {
     const tb::Status status = tb::analysis::WriteFile(
         args.GetString("csv"),
         tb::analysis::TaskRecordsCsv(result->report));
@@ -421,6 +449,7 @@ int CmdExec(const tb::Args& args) {
     }
     spec.kind = *kind;
   }
+  if (const int rc = FailOnUnread(args)) return rc;
   auto executor_or = tb::runtime::MakeExecutor(spec);
   if (!executor_or.ok()) return Fail(executor_or.status().ToString());
   std::unique_ptr<tb::runtime::Executor> executor = std::move(*executor_or);
@@ -493,6 +522,7 @@ int CmdServe(const tb::Args& args) {
   auto process = tb::service::ParseArrivalProcess(
       args.GetString("arrivals", "poisson"));
   if (!process.ok()) return Fail(process.status().ToString());
+  if (const int rc = FailOnUnread(args)) return rc;
   if (*tenants_or < 1 || *tenants_or > 64) {
     return Fail("--tenants expects 1..64");
   }
@@ -558,8 +588,10 @@ int CmdServe(const tb::Args& args) {
 }
 
 int CmdSweep(const tb::Args& args) {
-  auto base = BuildConfig(args);
+  auto base = BuildConfig(args, /*fixed_grid=*/false);
   if (!base.ok()) return Fail(base.status().ToString());
+  const bool csv = args.Has("csv");
+  if (const int rc = FailOnUnread(args)) return rc;
   const auto grids = base->algorithm == Algorithm::kKMeans
                          ? tb::analysis::KMeansPaperGrids()
                          : tb::analysis::MatmulPaperGrids();
@@ -590,7 +622,7 @@ int CmdSweep(const tb::Args& args) {
     results.push_back(std::move(*gpu));
   }
   std::printf("%s", table.ToString().c_str());
-  if (args.Has("csv")) {
+  if (csv) {
     const tb::Status status = tb::analysis::WriteFile(
         args.GetString("csv"), tb::analysis::ExperimentsCsv(results));
     if (!status.ok()) return Fail(status.ToString());
@@ -600,6 +632,8 @@ int CmdSweep(const tb::Args& args) {
 }
 
 int CmdCorrelate(const tb::Args& args) {
+  const bool csv = args.Has("csv");
+  if (const int rc = FailOnUnread(args)) return rc;
   const auto configs = tb::analysis::CorrelationSampleConfigs();
   std::printf("running %zu configurations...\n", configs.size());
   std::vector<tb::analysis::ExperimentResult> results;
@@ -614,7 +648,7 @@ int CmdCorrelate(const tb::Args& args) {
   auto matrix = table->SpearmanMatrix();
   if (!matrix.ok()) return Fail(matrix.status().ToString());
   std::printf("%s", matrix->ToString().c_str());
-  if (args.Has("csv")) {
+  if (csv) {
     const tb::Status status = tb::analysis::WriteFile(
         args.GetString("csv"), tb::analysis::CorrelationCsv(*matrix));
     if (!status.ok()) return Fail(status.ToString());
@@ -624,8 +658,9 @@ int CmdCorrelate(const tb::Args& args) {
 }
 
 int CmdRecommend(const tb::Args& args) {
-  auto base = BuildConfig(args);
+  auto base = BuildConfig(args, /*fixed_grid=*/false);
   if (!base.ok()) return Fail(base.status().ToString());
+  if (const int rc = FailOnUnread(args)) return rc;
   const auto grids = base->algorithm == Algorithm::kKMeans
                          ? tb::analysis::KMeansPaperGrids()
                          : tb::analysis::MatmulPaperGrids();
@@ -646,11 +681,14 @@ int CmdDag(const tb::Args& args) {
       "grid", algorithm == "matmul" || algorithm == "matmul-fma" ? "4x4"
                                                                  : "4x1"));
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto iters_or = args.GetInt("iterations", 3);
+  const bool iterative = algorithm == "kmeans" || algorithm == "logreg";
+  // Only the iterative algorithms have an outer loop.
+  const auto iters_or = iterative ? args.GetInt("iterations", 3) : 0;
   if (!iters_or.ok()) return Fail(iters_or.status().ToString());
   const int iters = static_cast<int>(*iters_or);
+  if (const int rc = FailOnUnread(args)) return rc;
 
-  if (algorithm == "kmeans" || algorithm == "logreg") {
+  if (iterative) {
     auto spec = tb::data::GridSpec::CreateFromGridDim(
         tb::data::DatasetSpec{"d", 1 << 16, 100}, grid->first, grid->second);
     if (!spec.ok()) return Fail(spec.status().ToString());
@@ -694,6 +732,28 @@ int CmdImport(const tb::Args& args) {
                 " [--stats-only]");
   }
   const std::string path = args.positional()[1];
+  const bool export_instance = args.Has("export");
+  const auto stats_only = args.GetBool("stats-only", false);
+  if (!stats_only.ok()) return Fail(stats_only.status().ToString());
+  // Run options are read only when the instance runs; with
+  // --stats-only they stay unread and are refused.
+  tb::runtime::RunOptions run_options;
+  std::string executor = "sim";
+  if (!*stats_only) {
+    const std::string policy_name = args.GetString("policy", "gen-order");
+    const auto policy = tb::runtime::ParseSchedulingPolicy(policy_name);
+    if (!policy.has_value()) {
+      return Fail("--policy expects gen-order|locality|cost, got '" +
+                  policy_name + "'");
+    }
+    const auto workers_or = args.GetInt("workers", 4);
+    if (!workers_or.ok() || *workers_or < 1) return Fail("bad --workers");
+    run_options.policy = *policy;
+    run_options.num_threads = static_cast<int>(*workers_or);
+    executor = args.GetString("executor", "sim");
+  }
+  if (const int rc = FailOnUnread(args)) return rc;
+
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return Fail("cannot open '" + path + "'");
   std::ostringstream text;
@@ -721,28 +781,15 @@ int CmdImport(const tb::Args& args) {
     std::printf("  type %-18s x%d\n", type.c_str(), count);
   }
 
-  if (args.Has("export")) {
+  if (export_instance) {
     const std::string out_path = args.GetString("export", "");
     std::ofstream out(out_path, std::ios::binary);
     if (!out.good()) return Fail("cannot write '" + out_path + "'");
     out << tb::wf::ExportWfFormat(*instance);
     std::printf("exported normalized WfFormat to %s\n", out_path.c_str());
   }
-  if (args.Has("stats-only")) return 0;
+  if (*stats_only) return 0;
 
-  const std::string policy_name = args.GetString("policy", "gen-order");
-  const auto policy = tb::runtime::ParseSchedulingPolicy(policy_name);
-  if (!policy.has_value()) {
-    return Fail("--policy expects gen-order|locality|cost, got '" +
-                policy_name + "'");
-  }
-  const auto workers_or = args.GetInt("workers", 4);
-  if (!workers_or.ok() || *workers_or < 1) return Fail("bad --workers");
-  tb::runtime::RunOptions run_options;
-  run_options.policy = *policy;
-  run_options.num_threads = static_cast<int>(*workers_or);
-
-  const std::string executor = args.GetString("executor", "sim");
   if (executor == "sim") {
     tb::wf::BuildOptions build_options;
     build_options.materialize = false;  // keep true WfFormat bytes
@@ -825,6 +872,7 @@ void PrintUsage() {
       "output:\n"
       "  --csv=PATH  --trace=PATH  --flow-events  --metrics-json=PATH\n"
       "  --gantt\n"
+      "options a command would ignore are refused\n"
       "see the header of tools/taskbench_cli.cc for details\n");
 }
 
