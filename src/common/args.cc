@@ -16,12 +16,15 @@ Args Args::Parse(int argc, const char* const* argv) {
     }
     const std::string body = token.substr(2);
     const size_t eq = body.find('=');
+    // A repeated key keeps its last value, bare or not.
+    args.bare_.erase(body.substr(0, eq));
     if (eq != std::string::npos) {
       args.options_[body.substr(0, eq)] = body.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args.options_[body] = argv[++i];
     } else {
       args.options_[body] = "true";
+      args.bare_.insert(body);
     }
   }
   return args;
@@ -37,6 +40,17 @@ std::string Args::GetString(const std::string& key,
                             const std::string& fallback) const {
   const std::string* value = Find(key);
   return value == nullptr ? fallback : *value;
+}
+
+Result<std::string> Args::GetPath(const std::string& key) const {
+  const std::string* value = Find(key);
+  if (value == nullptr) return std::string();
+  if (bare_.count(key) != 0 || value->empty()) {
+    return Status::InvalidArgument(
+        StrFormat("--%s needs a file path (--%s=PATH)", key.c_str(),
+                  key.c_str()));
+  }
+  return *value;
 }
 
 Result<int64_t> Args::GetInt(const std::string& key, int64_t fallback) const {

@@ -38,6 +38,10 @@ class Args {
   /// Double option; fails on non-numeric values.
   Result<double> GetDouble(const std::string& key, double fallback) const;
 
+  /// File-path option: absent -> "". A bare `--key` (or `--key=`)
+  /// fails naming the flag rather than yielding a file named "true".
+  Result<std::string> GetPath(const std::string& key) const;
+
   /// Boolean flag: absent -> fallback; "", "true", "1" -> true;
   /// "false", "0" -> false; anything else fails.
   Result<bool> GetBool(const std::string& key, bool fallback) const;
@@ -54,6 +58,7 @@ class Args {
 
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
+  std::set<std::string> bare_;  ///< keys given as a bare `--key`
   mutable std::set<std::string> read_;
 };
 

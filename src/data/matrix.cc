@@ -44,7 +44,7 @@ Result<Matrix> Matrix::Slice(int64_t row0, int64_t col0, int64_t rows,
         static_cast<long long>(col0), static_cast<long long>(cols),
         static_cast<long long>(rows_), static_cast<long long>(cols_)));
   }
-  Matrix out(rows, cols);
+  Matrix out = Uninitialized(rows, cols);  // every element is copied in
   for (int64_t r = 0; r < rows; ++r) {
     const double* src = data_.data() + (row0 + r) * cols_ + col0;
     std::copy(src, src + cols, out.data_.data() + r * cols);

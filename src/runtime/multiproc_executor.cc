@@ -14,6 +14,7 @@
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "runtime/spsc_ring.h"
+#include "runtime/task_attempt.h"
 #include "storage/block_cache.h"
 #include "storage/serializer.h"
 #include "storage/shm_arena.h"
@@ -39,16 +40,7 @@ MultiProcExecutor::MultiProcExecutor(RunOptions options)
 
 Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
                                                   DataId id) const {
-  if (id < 0 || id >= graph.num_data()) {
-    return Status::InvalidArgument(
-        StrFormat("unknown data id %lld", static_cast<long long>(id)));
-  }
-  const DataEntry& entry = graph.data(id);
-  if (!entry.value.has_value()) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no value", static_cast<long long>(id)));
-  }
-  return *entry.value;
+  return FetchGraphValue(graph, id);
 }
 
 #if defined(_WIN32)
@@ -120,21 +112,14 @@ struct ControlHeader {
   int64_t origin_ns = 0;
 };
 
-/// One worker's block-cache counters, in the MAP_SHARED control
-/// segment so the coordinator can merge them into the metrics
-/// registry after the run. The worker stores absolute values after
-/// each task (idempotent — a crashed worker leaves its last published
-/// snapshot, which is exactly what it did).
-struct CacheStatsSlot {
-  std::atomic<int64_t> hits{0};
-  std::atomic<int64_t> misses{0};
-  std::atomic<int64_t> evictions{0};
-  std::atomic<int64_t> invalidations{0};
-  std::atomic<uint64_t> peak_bytes{0};
-};
-
 static_assert(std::is_trivially_copyable_v<TaskMsg>);
 static_assert(std::is_trivially_copyable_v<CompletionMsg>);
+// Per-worker cache counters live in the control segment, one plain
+// storage::BlockCache::Stats per worker: the worker overwrites its
+// snapshot after each task (a crashed worker leaves its last one, which
+// is exactly what it did) and the coordinator reads them only after
+// every worker has exited, which waitpid orders after the writes.
+static_assert(std::is_trivially_copyable_v<storage::BlockCache::Stats>);
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -161,18 +146,6 @@ Result<uint64_t> StageBlock(storage::ShmArena& arena, const data::Matrix& m) {
   return offset;
 }
 
-/// Coordinator-side: stage `m` and publish it in the directory slot
-/// of `d` immediately (used for the pre-fork initial values). The
-/// directory stores offset+1 so 0 keeps meaning "never written"; the
-/// release store pairs with readers' acquire loads, making the
-/// payload bytes visible with the offset.
-Status PublishBlock(storage::ShmArena& arena, std::atomic<uint64_t>* directory,
-                    DataId d, const data::Matrix& m) {
-  TB_ASSIGN_OR_RETURN(const uint64_t offset, StageBlock(arena, m));
-  directory[d].store(offset + 1, std::memory_order_release);
-  return Status::OK();
-}
-
 /// Deserializes the arena record a (nonzero) directory tag points at.
 /// Records are immutable once staged and offsets are never reused, so
 /// a tag identifies one block version forever — which is what makes
@@ -185,19 +158,6 @@ Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
   return storage::Serializer::Deserialize(record + 8, payload);
 }
 
-Result<data::Matrix> ReadBlock(const storage::ShmArena& arena,
-                               const std::atomic<uint64_t>* directory,
-                               DataId d) {
-  const uint64_t tag = directory[d].load(std::memory_order_acquire);
-  if (tag == 0) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no record in the shm directory; was it "
-                  "ever written?",
-                  static_cast<long long>(d)));
-  }
-  return ReadBlockAt(arena, tag);
-}
-
 void SetError(CompletionMsg* msg, const Status& status) {
   const std::string text = status.ToString();
   const size_t n = std::min(text.size(), sizeof(msg->error) - 1);
@@ -205,207 +165,121 @@ void SetError(CompletionMsg* msg, const Status& status) {
   msg->error[n] = '\0';
 }
 
-/// One task attempt inside a worker — the multi-process counterpart
-/// of the thread pool's run_task: gather inputs from the arena, run
-/// the kernel, publish outputs back into the arena. When `cache` is
-/// set, reads go through the worker's version-keyed block cache with
-/// the directory tag as the version: a hot shared input deserializes
-/// once per worker instead of once per task. With `check` on, each
-/// non-OUT param's directory tag is re-loaded after the kernel ran —
-/// the anti-dependency (write-after-read) edges of the graph make a
-/// republication during execution impossible, so any change is an
-/// invariant violation (code 3).
-CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
-                     storage::ShmArena& arena, std::atomic<uint64_t>* directory,
-                     int64_t origin_ns, bool check,
-                     storage::BlockCache* cache) {
-  CompletionMsg out;
-  out.task = msg.task;
-  out.worker = worker_id;
-  out.attempt = msg.attempt;
-  out.start = SecondsSince(origin_ns);
+/// A worker's data plane: blocks are arena records named by their
+/// directory tags, which version the worker's cache entries (a hot
+/// shared input deserializes once per worker, not once per task).
+/// Outputs are only *staged* into fresh records; the coordinator
+/// publishes them when it consumes the completion.
+class ShmBlockIo final : public SerializedBlockIo {
+ public:
+  ShmBlockIo(storage::ShmArena* arena, std::atomic<uint64_t>* directory,
+             bool check, storage::BlockCache* cache)
+      : SerializedBlockIo(cache),
+        arena_(arena),
+        directory_(directory),
+        check_(check) {}
 
-  const Task& task = graph.task(msg.task);
+  /// Runs one attempt: the shared attempt body over the arena, then
+  /// (with `check`) the republication invariant, then the staged-output
+  /// index. Returns the completion code (CompletionMsg::code).
+  int Run(const Task& task, perf::StageTimes* stages, uint64_t* outputs,
+          Status* error) {
+    read_tags_.clear();
+    staged_.clear();
+    code_ = 1;
+    Status status = RunTaskAttempt(task, *this, stages);
+    if (status.ok()) status = CheckReadsUnmoved(task.id);
+    if (status.ok()) status = StageIndex(outputs);
+    if (status.ok()) return 0;
+    *error = std::move(status);
+    return code_;
+  }
 
-  // Materialize inputs (IN + INOUT) and output slots (OUT + INOUT),
-  // mirroring the thread-pool layout: kernel inputs are IN values
-  // first, then INOUT values aliasing their output slots. IN values
-  // are shared with the cache when enabled (no copy on hit); INOUT
-  // slots always get private copies the kernel may mutate.
-  std::vector<std::shared_ptr<const data::Matrix>> in_values;
-  std::vector<data::Matrix> out_values;
-  std::vector<DataId> out_ids;
-  std::vector<size_t> inout_out_index;
-  std::vector<std::pair<DataId, uint64_t>> read_tags;  // for the check
-  in_values.reserve(task.spec.params.size());
-  out_values.resize(task.spec.params.size());
-  size_t num_outputs = 0;
-  for (const Param& p : task.spec.params) {
-    if (p.dir == Dir::kOut) {
-      out_ids.push_back(p.data);
-      ++num_outputs;
-      continue;
-    }
-    const uint64_t tag = directory[p.data].load(std::memory_order_acquire);
+ protected:
+  Result<uint64_t> ReadVersion(const Task& task, size_t param) override {
+    const DataId d = task.spec.params[param].data;
+    const uint64_t tag = directory_[d].load(std::memory_order_acquire);
     if (tag == 0) {
-      out.code = 1;
-      SetError(&out, Status::NotFound(StrFormat(
-                         "datum %lld has no record in the shm directory; "
-                         "was it ever written?",
-                         static_cast<long long>(p.data))));
-      out.end = SecondsSince(origin_ns);
-      return out;
+      return Status::NotFound(StrFormat(
+          "datum %lld has no record in the shm directory; was it ever "
+          "written?",
+          static_cast<long long>(d)));
     }
-    if (check) read_tags.emplace_back(p.data, tag);
-    if (p.dir == Dir::kIn) {
-      if (cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                cache->Get(static_cast<uint64_t>(p.data), tag)) {
-          in_values.push_back(std::move(hit));
-          continue;
-        }
-      }
-      const double t0 = SecondsSince(origin_ns);
-      Result<data::Matrix> value = ReadBlockAt(arena, tag);
-      if (!value.ok()) {
-        out.code = 1;
-        SetError(&out, value.status());
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
-      out.deserialize_s += SecondsSince(origin_ns) - t0;
-      if (cache != nullptr) {
-        in_values.push_back(cache->Put(static_cast<uint64_t>(p.data), tag,
-                                       std::move(value).value()));
-      } else {
-        in_values.push_back(std::make_shared<const data::Matrix>(
-            std::move(value).value()));
-      }
-      continue;
-    }
-    // INOUT: private mutable copy. A cache hit copies the shared
-    // entry instead of letting the kernel mutate it; a miss reads the
-    // arena directly and is not inserted (this task is about to
-    // overwrite the datum, so the entry would be instantly stale).
-    bool materialized = false;
-    if (cache != nullptr) {
-      if (storage::BlockCache::ValuePtr hit =
-              cache->Get(static_cast<uint64_t>(p.data), tag)) {
-        out_values[num_outputs] = *hit;
-        materialized = true;
-      }
-    }
-    if (!materialized) {
-      const double t0 = SecondsSince(origin_ns);
-      Result<data::Matrix> value = ReadBlockAt(arena, tag);
-      if (!value.ok()) {
-        out.code = 1;
-        SetError(&out, value.status());
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
-      out.deserialize_s += SecondsSince(origin_ns) - t0;
-      out_values[num_outputs] = std::move(value).value();
-    }
-    inout_out_index.push_back(num_outputs);
-    out_ids.push_back(p.data);
-    ++num_outputs;
-  }
-  out_values.resize(num_outputs);
-
-  std::vector<const data::Matrix*> inputs;
-  std::vector<data::Matrix*> outputs;
-  for (const auto& m : in_values) inputs.push_back(m.get());
-  for (size_t idx : inout_out_index) inputs.push_back(&out_values[idx]);
-  for (data::Matrix& m : out_values) outputs.push_back(&m);
-
-  const double kernel_start = SecondsSince(origin_ns);
-  const Status kernel_status = task.spec.kernel(inputs, outputs);
-  out.compute_s = SecondsSince(origin_ns) - kernel_start;
-  if (!kernel_status.ok()) {
-    out.code = 1;
-    SetError(&out, kernel_status);
-    out.end = SecondsSince(origin_ns);
-    return out;
+    if (check_) read_tags_.emplace_back(d, tag);
+    return tag;
   }
 
-  // Invariant: no input block may be republished while the task that
-  // reads it is running — the graph's write-after-read edges order
-  // every overwriting task after all readers, and the coordinator
-  // never dispatches two live attempts of one task. A moved tag means
-  // cached handles and arena reads could disagree: fail the run.
-  if (check) {
-    for (const auto& [d, tag] : read_tags) {
-      const uint64_t now_tag = directory[d].load(std::memory_order_acquire);
-      if (now_tag != tag) {
-        out.code = 3;
-        SetError(&out,
-                 Status::FailedPrecondition(StrFormat(
-                     "invariant violation: datum %lld republished (tag "
-                     "%llu -> %llu) while task %lld was reading it",
-                     static_cast<long long>(d),
-                     static_cast<unsigned long long>(tag),
-                     static_cast<unsigned long long>(now_tag),
-                     static_cast<long long>(msg.task))));
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
-    }
+  Result<data::Matrix> Load(DataId, uint64_t version) override {
+    return ReadBlockAt(*arena_, version);
   }
 
-  // Stage the outputs: serialize each into its own arena record, then
-  // write one index record [u64 count | count x (u64 data id, u64
-  // record offset)] referenced from the completion message. The
-  // directory is deliberately NOT written here — only the coordinator
-  // publishes, when it consumes the completion — so a crash between
-  // staging and consumption cannot expose this attempt's outputs to a
-  // retry (which would double-apply INOUT tasks).
-  std::vector<std::pair<uint64_t, uint64_t>> staged;
-  staged.reserve(out_ids.size());
-  for (size_t i = 0; i < out_ids.size(); ++i) {
-    const double t0 = SecondsSince(origin_ns);
-    Result<uint64_t> offset = StageBlock(arena, out_values[i]);
+  Result<uint64_t> Store(const Task& task, size_t param,
+                         const data::Matrix& value) override {
+    Result<uint64_t> offset = StageBlock(*arena_, value);
     if (!offset.ok()) {
-      out.code = 2;  // arena exhaustion: retrying cannot help
-      SetError(&out, offset.status());
-      out.end = SecondsSince(origin_ns);
-      return out;
+      code_ = 2;  // arena exhaustion: retrying cannot help
+      return offset.status();
     }
-    staged.emplace_back(static_cast<uint64_t>(out_ids[i]), *offset);
-    out.serialize_s += SecondsSince(origin_ns) - t0;
+    staged_.emplace_back(
+        static_cast<uint64_t>(task.spec.params[param].data), *offset);
+    return *offset + 1;
   }
-  if (!staged.empty()) {
+
+ private:
+  /// Invariant: no input block may be republished while the task that
+  /// reads it is running — the graph's write-after-read edges order
+  /// every overwriting task after all readers, and the coordinator
+  /// never dispatches two live attempts of one task. A moved tag means
+  /// cached handles and arena reads could disagree: fail the run.
+  Status CheckReadsUnmoved(TaskId task) {
+    for (const auto& [d, tag] : read_tags_) {
+      const uint64_t now_tag = directory_[d].load(std::memory_order_acquire);
+      if (now_tag != tag) {
+        code_ = 3;
+        return Status::FailedPrecondition(StrFormat(
+            "invariant violation: datum %lld republished (tag %llu -> "
+            "%llu) while task %lld was reading it",
+            static_cast<long long>(d), static_cast<unsigned long long>(tag),
+            static_cast<unsigned long long>(now_tag),
+            static_cast<long long>(task)));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Writes the index record [u64 count | count x (u64 data id, u64
+  /// record offset)] of the staged outputs; `*outputs` = its offset + 1
+  /// (0 = no outputs). The directory is deliberately NOT written: a
+  /// crash between staging and consumption then cannot expose this
+  /// attempt's outputs to a retry (which would double-apply INOUT
+  /// tasks), and the tags the cache write-through used never enter the
+  /// directory, so those entries are unreachable.
+  Status StageIndex(uint64_t* outputs) {
+    if (staged_.empty()) return Status::OK();
     Result<uint64_t> index =
-        arena.Allocate(8 + 16 * static_cast<uint64_t>(staged.size()));
+        arena_->Allocate(8 + 16 * static_cast<uint64_t>(staged_.size()));
     if (!index.ok()) {
-      out.code = 2;
-      SetError(&out, index.status());
-      out.end = SecondsSince(origin_ns);
-      return out;
+      code_ = 2;
+      return index.status();
     }
-    uint8_t* record = arena.At(*index);
-    const uint64_t count = staged.size();
+    uint8_t* record = arena_->At(*index);
+    const uint64_t count = staged_.size();
     std::memcpy(record, &count, sizeof(count));
-    for (size_t i = 0; i < staged.size(); ++i) {
-      std::memcpy(record + 8 + 16 * i, &staged[i].first, 8);
-      std::memcpy(record + 8 + 16 * i + 8, &staged[i].second, 8);
+    for (size_t i = 0; i < staged_.size(); ++i) {
+      std::memcpy(record + 8 + 16 * i, &staged_[i].first, 8);
+      std::memcpy(record + 8 + 16 * i + 8, &staged_[i].second, 8);
     }
-    out.outputs = *index + 1;
+    *outputs = *index + 1;
+    return Status::OK();
   }
-  // Write-through at the tags the coordinator will publish (staged
-  // offset + 1). If this attempt's completion is never consumed —
-  // worker declared dead, stale duplicate — those tags never enter
-  // the directory, so a crashed attempt's staged outputs are
-  // unreachable in every cache; the epoch sweep reclaims their bytes.
-  if (cache != nullptr) {
-    for (size_t i = 0; i < staged.size(); ++i) {
-      cache->Put(staged[i].first, staged[i].second + 1,
-                 std::move(out_values[i]));
-    }
-  }
-  out.end = SecondsSince(origin_ns);
-  return out;
-}
+
+  storage::ShmArena* arena_;
+  std::atomic<uint64_t>* directory_;
+  const bool check_;
+  std::vector<std::pair<DataId, uint64_t>> read_tags_;  // for the check
+  std::vector<std::pair<uint64_t, uint64_t>> staged_;   // (datum, offset)
+  int code_ = 1;
+};
 
 /// Worker process main loop. Never returns — exits with _exit so the
 /// child skips atexit handlers, stdio flushing of inherited buffers
@@ -417,7 +291,7 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
                              std::atomic<uint64_t>* directory,
                              const std::vector<int>& pin_cpus, bool check,
                              uint64_t cache_bytes,
-                             CacheStatsSlot* stats_slot) {
+                             storage::BlockCache::Stats* cache_stats) {
   if (!pin_cpus.empty()) {
     // Best effort: an unpinnable worker is slower, never wrong.
     const Status ignored = hw::PinCurrentThreadToCpus(pin_cpus);
@@ -428,6 +302,8 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
   // tags (cache_bytes == 0 disables caching).
   std::optional<storage::BlockCache> cache;
   if (cache_bytes > 0) cache.emplace(cache_bytes);
+  ShmBlockIo io(&arena, directory, check,
+                cache.has_value() ? &*cache : nullptr);
   uint64_t seen_epoch = 0;
   const int64_t origin_ns = header->origin_ns;
   int idle_polls = 0;
@@ -451,18 +327,20 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
             std::memory_order_acquire);
       });
     }
-    const CompletionMsg done =
-        RunOne(worker_id, msg, graph, arena, directory, origin_ns, check,
-               cache.has_value() ? &*cache : nullptr);
-    if (cache.has_value() && stats_slot != nullptr) {
-      const storage::BlockCache::Stats& s = cache->stats();
-      stats_slot->hits.store(s.hits, std::memory_order_relaxed);
-      stats_slot->misses.store(s.misses, std::memory_order_relaxed);
-      stats_slot->evictions.store(s.evictions, std::memory_order_relaxed);
-      stats_slot->invalidations.store(s.invalidations,
-                                      std::memory_order_relaxed);
-      stats_slot->peak_bytes.store(s.peak_bytes, std::memory_order_relaxed);
-    }
+    CompletionMsg done;
+    done.task = msg.task;
+    done.worker = worker_id;
+    done.attempt = msg.attempt;
+    done.start = SecondsSince(origin_ns);
+    perf::StageTimes stages;
+    Status error;
+    done.code = io.Run(graph.task(msg.task), &stages, &done.outputs, &error);
+    if (done.code != 0) SetError(&done, error);
+    done.deserialize_s = stages.deserialize;
+    done.compute_s = stages.parallel_fraction;
+    done.serialize_s = stages.serialize;
+    done.end = SecondsSince(origin_ns);
+    if (cache.has_value()) *cache_stats = cache->stats();
     while (!channel->outbox.Push(done)) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
@@ -553,14 +431,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   TB_RETURN_IF_ERROR(graph.Validate());
   const int64_t total = graph.num_tasks();
   const int64_t num_data = graph.num_data();
-  for (TaskId t = 0; t < total; ++t) {
-    if (graph.task(t).spec.kernel == nullptr) {
-      return Status::FailedPrecondition(StrFormat(
-          "task %lld (%s) has no kernel; simulation-only graphs cannot "
-          "run on the multi-process executor",
-          static_cast<long long>(t), graph.task(t).spec.type.c_str()));
-    }
-  }
+  TB_RETURN_IF_ERROR(CheckKernels(graph, "multi-process"));
 
   const int caller_threads = SettledProcessThreads();
   if (caller_threads > 1) {
@@ -596,11 +467,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                       storage::ShmArena::Create("arena", arena_bytes));
 
   const bool use_cache = options_.block_cache;
-  const uint64_t cache_bytes =
-      use_cache ? (options_.block_cache_bytes != 0
-                       ? options_.block_cache_bytes
-                       : storage::kDefaultBlockCacheBytes)
-                : 0;
+  const uint64_t cache_bytes = use_cache ? BlockCacheBytes(options_) : 0;
 
   const uint64_t header_off = 0;
   const uint64_t channels_off = AlignUp64(header_off + sizeof(ControlHeader));
@@ -612,7 +479,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                 static_cast<uint64_t>(num_data) * sizeof(std::atomic<uint64_t>));
   const uint64_t control_bytes =
       cache_stats_off +
-      static_cast<uint64_t>(num_workers) * sizeof(CacheStatsSlot);
+      static_cast<uint64_t>(num_workers) * sizeof(storage::BlockCache::Stats);
   TB_ASSIGN_OR_RETURN(storage::ShmSegment control,
                       storage::ShmSegment::Create("ctl", control_bytes));
   auto* header = new (control.base() + header_off) ControlHeader();
@@ -624,16 +491,20 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   for (DataId d = 0; d < num_data; ++d) {
     new (&directory[d]) std::atomic<uint64_t>(0);
   }
-  auto* cache_stats =
-      reinterpret_cast<CacheStatsSlot*>(control.base() + cache_stats_off);
-  for (int w = 0; w < num_workers; ++w) new (&cache_stats[w]) CacheStatsSlot();
+  auto* cache_stats = reinterpret_cast<storage::BlockCache::Stats*>(
+      control.base() + cache_stats_off);
+  for (int w = 0; w < num_workers; ++w) {
+    new (&cache_stats[w]) storage::BlockCache::Stats();
+  }
 
-  // Stage initial values into the arena (coordinator-side, pre-fork,
-  // so the publications are trivially visible to every worker).
+  // Stage and publish the initial values (coordinator-side, pre-fork,
+  // so the publications are trivially visible to every worker). The
+  // directory stores offset+1 so 0 keeps meaning "never written".
   for (DataId d = 0; d < num_data; ++d) {
     const DataEntry& entry = graph.data(d);
     if (!entry.value.has_value()) continue;
-    TB_RETURN_IF_ERROR(PublishBlock(arena, directory, d, *entry.value));
+    TB_ASSIGN_OR_RETURN(const uint64_t offset, StageBlock(arena, *entry.value));
+    directory[d].store(offset + 1, std::memory_order_release);
   }
 
   header->origin_ns = NowNs();
@@ -866,9 +737,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                      AttemptOutcome::kFailed});
     }
     delayed.push_back(Delayed{
-        SecondsSince(origin_ns) +
-            options_.retry_backoff_s *
-                static_cast<double>(1ull << std::min(msg.attempt - 1, 30)),
+        SecondsSince(origin_ns) + RetryBackoffSeconds(options_, msg.attempt),
         msg.task, msg.attempt + 1});
   };
 
@@ -912,10 +781,8 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
           return;
         }
         ++retries;
-        delayed.push_back(Delayed{
-            now + options_.retry_backoff_s *
-                      static_cast<double>(1ull << std::min(attempt - 1, 30)),
-            task, attempt + 1});
+        delayed.push_back(Delayed{now + RetryBackoffSeconds(options_, attempt),
+                                  task, attempt + 1});
       }
     }
     if (!failed && num_completed < total &&
@@ -993,33 +860,21 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   // Persist final values onto the graph entries (the arena unmaps
   // when this function returns).
   for (DataId d = 0; d < num_data; ++d) {
-    if (directory[d].load(std::memory_order_acquire) == 0) continue;
-    TB_ASSIGN_OR_RETURN(data::Matrix value, ReadBlock(arena, directory, d));
+    const uint64_t tag = directory[d].load(std::memory_order_acquire);
+    if (tag == 0) continue;
+    TB_ASSIGN_OR_RETURN(data::Matrix value, ReadBlockAt(arena, tag));
     graph.mutable_data(d).value = std::move(value);
-  }
-
-  double makespan = 0;
-  for (const TaskRecord& rec : records) {
-    makespan = std::max(makespan, rec.end);
-  }
-
-  if (options_.check_invariants) {
-    // Conservation: workers run tasks one at a time, so total busy
-    // time cannot exceed workers x makespan (all timestamps share the
-    // CLOCK_MONOTONIC origin written into the control header).
-    double busy = 0;
-    for (const TaskRecord& rec : records) busy += rec.duration();
-    const double cap = makespan * num_workers;
-    if (busy > cap + 1e-9 * cap + 1e-12) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: total busy time %.17g exceeds %d "
-          "workers x makespan %.17g",
-          busy, num_workers, makespan));
-    }
   }
 
   obs::MetricsRegistry* const metrics_sink =
       ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
+  TB_ASSIGN_OR_RETURN(
+      const double makespan,
+      FinishRealRun(graph, records, num_workers, options_.check_invariants,
+                    metrics_sink,
+                    use_cache ? std::vector<storage::BlockCache::Stats>(
+                                    cache_stats, cache_stats + num_workers)
+                              : std::vector<storage::BlockCache::Stats>{}));
   if (metrics_sink != nullptr) {
     obs::MetricsRegistry& registry = *metrics_sink;
     registry.gauge("pool.procs")->Set(num_workers);
@@ -1027,38 +882,6 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     if (retries > 0) registry.counter("pool.retries")->Add(retries);
     if (dead_workers > 0) {
       registry.counter("pool.worker_crashes")->Add(dead_workers);
-    }
-    if (use_cache) {
-      // Workers published their last stats snapshot into the shared
-      // control segment after each task; sum them here (same names as
-      // the thread pool's cache counters, so dashboards line up).
-      int64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
-      uint64_t peak = 0;
-      for (int w = 0; w < num_workers; ++w) {
-        hits += cache_stats[w].hits.load(std::memory_order_relaxed);
-        misses += cache_stats[w].misses.load(std::memory_order_relaxed);
-        evictions += cache_stats[w].evictions.load(std::memory_order_relaxed);
-        invalidations +=
-            cache_stats[w].invalidations.load(std::memory_order_relaxed);
-        peak = std::max(
-            peak, cache_stats[w].peak_bytes.load(std::memory_order_relaxed));
-      }
-      registry.counter("cache.hits")->Add(hits);
-      registry.counter("cache.misses")->Add(misses);
-      registry.counter("cache.evictions")->Add(evictions);
-      registry.counter("cache.invalidations")->Add(invalidations);
-      registry.gauge("cache.peak_bytes")->SetMax(static_cast<double>(peak));
-    }
-    for (const TaskRecord& rec : records) {
-      registry
-          .histogram(StrFormat("task.%s.deserialize_s", rec.type.c_str()))
-          ->Record(rec.stages.deserialize);
-      registry.histogram(StrFormat("task.%s.compute_s", rec.type.c_str()))
-          ->Record(rec.stages.parallel_fraction);
-      registry.histogram(StrFormat("task.%s.serialize_s", rec.type.c_str()))
-          ->Record(rec.stages.serialize);
-      registry.histogram(StrFormat("task.%s.duration_s", rec.type.c_str()))
-          ->Record(rec.duration());
     }
   }
 

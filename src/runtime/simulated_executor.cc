@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +22,7 @@
 #include "runtime/invariant_check.h"
 #include "runtime/ready_queue.h"
 #include "runtime/scheduler.h"
+#include "runtime/task_attempt.h"
 #include "sim/bandwidth_resource.h"
 #include "sim/simulator.h"
 
@@ -218,26 +219,7 @@ class SimState {
     if (metrics_ != nullptr) {
       m_decisions_ = metrics_->counter("sched.decisions");
       m_ready_size_ = metrics_->histogram("sched.ready_tasks");
-      task_type_idx_.resize(static_cast<size_t>(graph_.num_tasks()));
-      std::map<std::string, uint32_t> type_index;
-      for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-        const std::string& type = graph_.task(t).spec.type;
-        auto [it, inserted] =
-            type_index.emplace(type, static_cast<uint32_t>(type_hists_.size()));
-        if (inserted) {
-          StageHists h;
-          h.deserialize = metrics_->histogram(
-              StrFormat("task.%s.deserialize_s", type.c_str()));
-          h.compute =
-              metrics_->histogram(StrFormat("task.%s.compute_s", type.c_str()));
-          h.serialize = metrics_->histogram(
-              StrFormat("task.%s.serialize_s", type.c_str()));
-          h.duration = metrics_->histogram(
-              StrFormat("task.%s.duration_s", type.c_str()));
-          type_hists_.push_back(h);
-        }
-        task_type_idx_[static_cast<size_t>(t)] = it->second;
-      }
+      stage_hists_.emplace(graph_, *metrics_);
     }
   }
 
@@ -863,16 +845,7 @@ class SimState {
       rec.stages.parallel_fraction = model_.CpuParallelFraction(cost);
     }
     makespan_ = std::max(makespan_, rec.end);
-    if (metrics_ != nullptr) {
-      const StageHists& h =
-          type_hists_[task_type_idx_[static_cast<size_t>(run->id)]];
-      h.deserialize->Record(rec.stages.deserialize);
-      h.compute->Record(rec.stages.serial_fraction +
-                        rec.stages.parallel_fraction +
-                        rec.stages.cpu_gpu_comm);
-      h.serialize->Record(rec.stages.serialize);
-      h.duration->Record(rec.duration());
-    }
+    if (stage_hists_.has_value()) stage_hists_->Record(rec);
     RecordAttempt(run, AttemptOutcome::kCompleted);
     if (run->hedged && run->twin != nullptr) CancelHedge(run);
 
@@ -1090,9 +1063,7 @@ class SimState {
     }
     ++stats_.retries;
     pending_retry_[static_cast<size_t>(id)] = 1;
-    const double delay =
-        options_.retry_backoff_s *
-        static_cast<double>(1ull << std::min(attempt - 1, 30));
+    const double delay = RetryBackoffSeconds(options_, attempt);
     simulator_.After(delay, [this, id]() {
       if (!failure_.ok()) return;
       pending_retry_[static_cast<size_t>(id)] = 0;
@@ -1337,17 +1308,10 @@ class SimState {
   // always-on additions are the decision counter and the phase split
   // (folded into the report after the run), neither of which touches
   // the event sequence.
-  struct StageHists {
-    obs::Histogram* deserialize = nullptr;
-    obs::Histogram* compute = nullptr;
-    obs::Histogram* serialize = nullptr;
-    obs::Histogram* duration = nullptr;
-  };
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_decisions_ = nullptr;
   obs::Histogram* m_ready_size_ = nullptr;
-  std::vector<StageHists> type_hists_;
-  std::vector<uint32_t> task_type_idx_;
+  std::optional<TaskStageHistograms> stage_hists_;
   SchedulerPhaseBreakdown phase_split_;
   int64_t decisions_ = 0;
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,6 +18,7 @@
 #include "obs/metrics.h"
 #include "runtime/invariant_check.h"
 #include "runtime/sharded_value_store.h"
+#include "runtime/task_attempt.h"
 #include "runtime/work_stealing_queue.h"
 #include "storage/block_cache.h"
 #include "storage/serializer.h"
@@ -53,14 +53,6 @@ std::string KeyFor(uint64_t scope, DataId id) {
 /// parks on the condition variable.
 constexpr int kStealSweepsBeforePark = 4;
 
-/// Pre-resolved per-task-type stage histograms (one set per worker).
-struct StageHists {
-  obs::Histogram* deserialize = nullptr;
-  obs::Histogram* compute = nullptr;
-  obs::Histogram* serialize = nullptr;
-  obs::Histogram* duration = nullptr;
-};
-
 /// One worker's private telemetry. Workers record into their own
 /// registry with no synchronization whatsoever; the registries are
 /// merged into the caller's after the threads join.
@@ -69,21 +61,118 @@ struct WorkerTelemetry {
   obs::Counter* tasks = nullptr;
   obs::Counter* steals = nullptr;
   obs::Counter* parks = nullptr;
-  std::vector<StageHists> types;  ///< index-aligned with the type list
 };
 
-StageHists ResolveStageHists(obs::MetricsRegistry* registry,
-                             const std::string& type) {
-  StageHists h;
-  h.deserialize =
-      registry->histogram(StrFormat("task.%s.deserialize_s", type.c_str()));
-  h.compute = registry->histogram(StrFormat("task.%s.compute_s", type.c_str()));
-  h.serialize =
-      registry->histogram(StrFormat("task.%s.serialize_s", type.c_str()));
-  h.duration =
-      registry->histogram(StrFormat("task.%s.duration_s", type.c_str()));
-  return h;
-}
+/// Storage-mode data plane of one worker: blocks live serialized in
+/// the BlockStorage under per-datum keys, deserialized through the
+/// worker's pooled read buffer (steady-state traffic allocates
+/// nothing). Versions are the writer ordinals the VersionOracle
+/// predicts, which the invariant checker also publishes, so the
+/// oracle doubles as the block cache's version source.
+class StoreBlockIo final : public SerializedBlockIo {
+ public:
+  /// `oracle` is null when uncached (every version is 0);
+  /// `data_version` is null unless invariants are checked.
+  StoreBlockIo(storage::BlockStorage* store,
+               const std::vector<std::string>* keys,
+               const VersionOracle* oracle,
+               const std::vector<std::atomic<int>>* data_version,
+               storage::BlockCache* cache)
+      : SerializedBlockIo(cache),
+        store_(store),
+        keys_(keys),
+        oracle_(oracle),
+        data_version_(data_version) {}
+
+ protected:
+  Result<uint64_t> ReadVersion(const Task& task, size_t param) override {
+    if (oracle_ == nullptr) return uint64_t{0};
+    const bool inout = task.spec.params[param].dir == Dir::kInOut;
+    return static_cast<uint64_t>(oracle_->ordinal(task.id, param) -
+                                 (inout ? 1 : 0));
+  }
+
+  Result<data::Matrix> Load(DataId d, uint64_t) override {
+    TB_RETURN_IF_ERROR(
+        store_->GetInto((*keys_)[static_cast<size_t>(d)], &read_scratch_));
+    return storage::Serializer::Deserialize(read_scratch_.data(),
+                                            read_scratch_.size());
+  }
+
+  Result<uint64_t> Store(const Task& task, size_t param,
+                         const data::Matrix& value) override {
+    write_scratch_.clear();
+    storage::Serializer::Serialize(value, &write_scratch_);
+    TB_RETURN_IF_ERROR(store_->Put(
+        (*keys_)[static_cast<size_t>(task.spec.params[param].data)],
+        write_scratch_.data(), write_scratch_.size()));
+    return oracle_ == nullptr
+               ? uint64_t{0}
+               : static_cast<uint64_t>(oracle_->ordinal(task.id, param));
+  }
+
+  // Invariant "cache-served reads match the version oracle": a hit is
+  // only legal when the data plane's own version bookkeeping agrees
+  // with the version the entry was cached under.
+  Status VerifyHit(DataId d, uint64_t version) override {
+    if (data_version_ == nullptr) return Status::OK();
+    const int actual = (*data_version_)[static_cast<size_t>(d)].load(
+        std::memory_order_acquire);
+    if (static_cast<uint64_t>(actual) != version) {
+      return Status::FailedPrecondition(StrFormat(
+          "invariant violation: block cache served datum %lld at "
+          "version %llu but the data plane is at version %d",
+          static_cast<long long>(d),
+          static_cast<unsigned long long>(version), actual));
+    }
+    return Status::OK();
+  }
+
+ private:
+  storage::BlockStorage* store_;
+  const std::vector<std::string>* keys_;
+  const VersionOracle* oracle_;
+  const std::vector<std::atomic<int>>* data_version_;
+  std::vector<uint8_t> read_scratch_;
+  std::vector<uint8_t> write_scratch_;
+};
+
+/// Memory-mode data plane: blocks stay deserialized in the striped
+/// value store. A shared read is one stripe lock and a refcount bump;
+/// no block is ever copied under a lock.
+class ValueStoreBlockIo final : public BlockIo {
+ public:
+  explicit ValueStoreBlockIo(ShardedValueStore* values) : values_(values) {}
+
+  Result<std::shared_ptr<const data::Matrix>> ReadShared(
+      const Task& task, size_t param, double*) override {
+    const DataId d = task.spec.params[param].data;
+    std::shared_ptr<data::Matrix> value = values_->Get(d);
+    if (value == nullptr) {
+      return Status::NotFound(
+          StrFormat("datum %lld has no value; was it ever written?",
+                    static_cast<long long>(d)));
+    }
+    return std::shared_ptr<const data::Matrix>(std::move(value));
+  }
+
+  Result<data::Matrix> ReadOwned(const Task& task, size_t param,
+                                 double* deserialize_s) override {
+    TB_ASSIGN_OR_RETURN(const std::shared_ptr<const data::Matrix> value,
+                        ReadShared(task, param, deserialize_s));
+    return *value;
+  }
+
+  Status Write(const Task& task, size_t param, data::Matrix value,
+               double*) override {
+    values_->Put(task.spec.params[param].data,
+                 std::make_shared<data::Matrix>(std::move(value)));
+    return Status::OK();
+  }
+
+ private:
+  ShardedValueStore* values_;
+};
 
 }  // namespace
 
@@ -97,15 +186,15 @@ ThreadPoolExecutor::ThreadPoolExecutor(
     private_store_ = true;
   }
   if (options_.block_cache && options_.use_storage && private_store_) {
-    fetch_cache_ = std::make_unique<storage::BlockCache>(
-        options_.block_cache_bytes != 0 ? options_.block_cache_bytes
-                                        : storage::kDefaultBlockCacheBytes);
+    fetch_cache_ =
+        std::make_unique<storage::BlockCache>(BlockCacheBytes(options_));
   }
 }
 
 Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                                               const RunContext& ctx) {
   TB_RETURN_IF_ERROR(graph.Validate());
+  TB_RETURN_IF_ERROR(CheckKernels(graph, "thread-pool"));
 
   // Any run may rewrite scope-0 keys the post-run Fetch cache was
   // built from; drop it wholesale (versions are per-run ordinals and
@@ -157,11 +246,8 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     pool.queues.emplace_back(per_queue_hint);
   }
 
-  {
-    // std::atomic<int> is not copyable, so size the vector in place.
-    std::vector<std::atomic<int>> deps(static_cast<size_t>(total));
-    pool.remaining_deps = std::move(deps);
-  }
+  pool.remaining_deps =
+      std::vector<std::atomic<int>>(static_cast<size_t>(total));
   int64_t initially_ready = 0;
   for (TaskId t = 0; t < total; ++t) {
     const int deps = static_cast<int>(graph.task(t).deps.size());
@@ -192,14 +278,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   if (check || use_cache) {
     oracle = VersionOracle::Build(graph);
   }
-  if (check) {
-    std::vector<std::atomic<int>> versions(
+  if (check) {  // value-initialized atomics start at zero
+    data_version = std::vector<std::atomic<int>>(
         static_cast<size_t>(graph.num_data()));
-    data_version = std::move(versions);
-    std::vector<std::atomic<char>> flags(static_cast<size_t>(total));
-    completed_flag = std::move(flags);
-    for (auto& v : data_version) v.store(0, std::memory_order_relaxed);
-    for (auto& f : completed_flag) f.store(0, std::memory_order_relaxed);
+    completed_flag = std::vector<std::atomic<char>>(static_cast<size_t>(total));
   }
 
   // Memory-mode value store; unused (size 0) in storage mode.
@@ -283,51 +365,32 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   std::vector<std::atomic<int64_t>> running_since_ns;
   if (hedge) {
     hedgeable = internal::HedgeableTasks(graph);
-    std::vector<std::atomic<char>> claims(static_cast<size_t>(total));
-    hedge_claim = std::move(claims);
-    std::vector<std::atomic<char>> tried(static_cast<size_t>(total));
-    hedge_tried = std::move(tried);
-    for (auto& c : hedge_claim) c.store(0, std::memory_order_relaxed);
-    for (auto& c : hedge_tried) c.store(0, std::memory_order_relaxed);
-    std::vector<std::atomic<int64_t>> rt(static_cast<size_t>(num_workers));
-    running_task = std::move(rt);
-    std::vector<std::atomic<int64_t>> rs(static_cast<size_t>(num_workers));
-    running_since_ns = std::move(rs);
+    hedge_claim = std::vector<std::atomic<char>>(static_cast<size_t>(total));
+    hedge_tried = std::vector<std::atomic<char>>(static_cast<size_t>(total));
+    running_task =
+        std::vector<std::atomic<int64_t>>(static_cast<size_t>(num_workers));
+    running_since_ns =
+        std::vector<std::atomic<int64_t>>(static_cast<size_t>(num_workers));
     for (auto& r : running_task) r.store(-1, std::memory_order_relaxed);
-    for (auto& r : running_since_ns) r.store(0, std::memory_order_relaxed);
   }
 
-  // Telemetry: per-worker registries plus a per-task type index, all
-  // resolved up front so the workers only bump pre-looked-up
-  // instruments. Entirely skipped when no registry was supplied. A
-  // per-run registry in the context scopes the instruments to this
-  // submission; the executor-wide RunOptions registry is the default.
+  // Telemetry: per-worker registries resolved up front so the workers
+  // only bump pre-looked-up counters; the stage histograms are
+  // recorded from `records` after the join. Entirely skipped when no
+  // registry was supplied. A per-run registry in the context scopes
+  // the instruments to this submission; the executor-wide RunOptions
+  // registry is the default.
   obs::MetricsRegistry* const metrics_sink =
       ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
   const bool telemetry = metrics_sink != nullptr;
-  std::vector<uint32_t> task_type_idx;
   std::vector<std::unique_ptr<WorkerTelemetry>> worker_telemetry;
   if (telemetry) {
-    std::vector<std::string> type_names;
-    std::map<std::string, uint32_t> type_index;
-    task_type_idx.resize(static_cast<size_t>(total));
-    for (TaskId t = 0; t < total; ++t) {
-      const std::string& type = graph.task(t).spec.type;
-      auto [it, inserted] =
-          type_index.emplace(type, static_cast<uint32_t>(type_names.size()));
-      if (inserted) type_names.push_back(type);
-      task_type_idx[static_cast<size_t>(t)] = it->second;
-    }
     worker_telemetry.reserve(static_cast<size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w) {
       auto wt = std::make_unique<WorkerTelemetry>();
       wt->tasks = wt->registry.counter("pool.tasks");
       wt->steals = wt->registry.counter("pool.steals");
       wt->parks = wt->registry.counter("pool.parks");
-      wt->types.reserve(type_names.size());
-      for (const std::string& type : type_names) {
-        wt->types.push_back(ResolveStageHists(&wt->registry, type));
-      }
       worker_telemetry.push_back(std::move(wt));
     }
   }
@@ -341,13 +404,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // the telemetry merge.
   std::vector<std::unique_ptr<storage::BlockCache>> worker_caches;
   if (use_cache) {
-    const uint64_t cache_budget = options_.block_cache_bytes != 0
-                                      ? options_.block_cache_bytes
-                                      : storage::kDefaultBlockCacheBytes;
     worker_caches.reserve(static_cast<size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w) {
       worker_caches.push_back(
-          std::make_unique<storage::BlockCache>(cache_budget));
+          std::make_unique<storage::BlockCache>(BlockCacheBytes(options_)));
     }
   }
 
@@ -375,137 +435,12 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  // Per-worker context: deque identity plus reusable serialization
-  // scratch (steady-state storage traffic allocates nothing) and the
-  // worker's private block cache, when enabled.
-  struct WorkerContext {
-    int id = 0;
-    std::vector<uint8_t> read_scratch;
-    std::vector<uint8_t> write_scratch;
-    storage::BlockCache* cache = nullptr;
-  };
-
-  // Invariant "cache-served reads match the version oracle": a hit is
-  // only legal when the data plane's own version bookkeeping agrees
-  // with the version the entry was cached under.
-  auto verify_cache_hit = [&](DataId d, uint64_t version) -> Status {
-    if (!check) return Status::OK();
-    const int actual = data_version[static_cast<size_t>(d)].load(
-        std::memory_order_acquire);
-    if (static_cast<uint64_t>(actual) != version) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: block cache served datum %lld at "
-          "version %llu but the data plane is at version %d",
-          static_cast<long long>(d),
-          static_cast<unsigned long long>(version), actual));
-    }
-    return Status::OK();
-  };
-
-  // Private deserialization of `d` from the store into the worker's
-  // pooled read buffer — the uncached storage read path.
-  auto read_from_store = [&](WorkerContext& ctx, DataId d,
-                             double* deser_seconds) -> Result<data::Matrix> {
-    const double t0 = SecondsSince(origin);
-    TB_RETURN_IF_ERROR(
-        store_->GetInto(keys[static_cast<size_t>(d)], &ctx.read_scratch));
-    TB_ASSIGN_OR_RETURN(
-        data::Matrix m,
-        storage::Serializer::Deserialize(ctx.read_scratch.data(),
-                                         ctx.read_scratch.size()));
-    *deser_seconds += SecondsSince(origin) - t0;
-    return m;
-  };
-
-  // Shared ownership of the current value of `d` at `version`, timing
-  // the deserialization. In memory mode the critical section is one
-  // stripe lock and a refcount bump; no block is ever copied under a
-  // lock. Storage mode deserializes from the worker's pooled read
-  // buffer — through the worker's block cache when enabled, where a
-  // warm read is a hash lookup and a refcount bump instead. The wire
-  // format is lossless, so a cached block is bit-identical to a fresh
-  // deserialize and results cannot depend on the hit pattern.
-  auto read_shared = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                         double* deser_seconds)
-      -> Result<std::shared_ptr<const data::Matrix>> {
-    if (options_.use_storage) {
-      if (ctx.cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                ctx.cache->Get(static_cast<uint64_t>(d), version)) {
-          TB_RETURN_IF_ERROR(verify_cache_hit(d, version));
-          return hit;
-        }
-        TB_ASSIGN_OR_RETURN(data::Matrix m,
-                            read_from_store(ctx, d, deser_seconds));
-        return ctx.cache->Put(static_cast<uint64_t>(d), version,
-                              std::move(m));
-      }
-      TB_ASSIGN_OR_RETURN(data::Matrix m,
-                          read_from_store(ctx, d, deser_seconds));
-      return std::make_shared<const data::Matrix>(std::move(m));
-    }
-    std::shared_ptr<data::Matrix> value = values.Get(d);
-    if (value == nullptr) {
-      return Status::NotFound(
-          StrFormat("datum %lld has no value; was it ever written?",
-                    static_cast<long long>(d)));
-    }
-    return std::shared_ptr<const data::Matrix>(std::move(value));
-  };
-
-  // Private mutable copy of `d` (for INOUT slots kernels update in
-  // place); copies happen outside any lock, and a cache hit copies
-  // the shared entry instead of mutating it (other holders of the
-  // handle would see the kernel's writes otherwise).
-  auto read_owned = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                        double* deser_seconds) -> Result<data::Matrix> {
-    if (options_.use_storage) {
-      if (ctx.cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                ctx.cache->Get(static_cast<uint64_t>(d), version)) {
-          TB_RETURN_IF_ERROR(verify_cache_hit(d, version));
-          return *hit;
-        }
-      }
-      // Miss: private copy straight from the store. Not inserted —
-      // this reader is about to overwrite `d`, so the entry would be
-      // stale before anyone could hit it.
-      return read_from_store(ctx, d, deser_seconds);
-    }
-    TB_ASSIGN_OR_RETURN(const std::shared_ptr<const data::Matrix> value,
-                        read_shared(ctx, d, version, deser_seconds));
-    return *value;
-  };
-
-  auto write_datum = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                         data::Matrix value, double* ser_seconds) -> Status {
-    if (options_.use_storage) {
-      const double t0 = SecondsSince(origin);
-      ctx.write_scratch.clear();
-      storage::Serializer::Serialize(value, &ctx.write_scratch);
-      TB_RETURN_IF_ERROR(store_->Put(keys[static_cast<size_t>(d)],
-                                     ctx.write_scratch.data(),
-                                     ctx.write_scratch.size()));
-      *ser_seconds += SecondsSince(origin) - t0;
-      // Write-through at the writer's ordinal: successors reading
-      // this version hit without touching the serializer (free when
-      // they run on this worker, one miss each elsewhere). The block
-      // is moved, not copied — the caller is done with it after a
-      // successful Put.
-      if (ctx.cache != nullptr) {
-        ctx.cache->Put(static_cast<uint64_t>(d), version, std::move(value));
-      }
-      return Status::OK();
-    }
-    values.Put(d, std::make_shared<data::Matrix>(std::move(value)));
-    return Status::OK();
-  };
-
-  // Executes `id` once, timing its stages into `rec` — the caller
-  // picks where the record lives: records[id] on the normal path, a
-  // stack-local for hedged attempts (only the claim winner's record
-  // is published, so a losing duplicate never touches shared state).
-  auto run_task = [&](WorkerContext& ctx, TaskId id, int attempt,
+  // Executes `id` once through the worker's data plane `io`, timing
+  // its stages into `rec` — the caller picks where the record lives:
+  // records[id] on the normal path, a stack-local for hedged attempts
+  // (only the claim winner's record is published, so a losing
+  // duplicate never touches shared state).
+  auto run_task = [&](BlockIo& io, TaskId id, int attempt,
                       TaskRecord& rec) -> Status {
     const Task& task = graph.task(id);
     rec.task = id;
@@ -515,69 +450,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     rec.stages = perf::StageTimes{};  // a retry starts its stages over
     rec.attempt = attempt;
     rec.start = SecondsSince(origin);
-
-    if (task.spec.kernel == nullptr) {
-      return Status::FailedPrecondition(StrFormat(
-          "task %lld (%s) has no kernel; simulation-only graphs cannot "
-          "run on the thread-pool executor",
-          static_cast<long long>(id), task.spec.type.c_str()));
-    }
-
-    // Materialize inputs (IN + INOUT) and output slots (OUT + INOUT).
-    // IN values are shared with the store (zero-copy in memory mode);
-    // INOUT slots get private copies kernels may mutate. out_values
-    // is sized up front so pointers into it stay stable.
-    std::vector<std::shared_ptr<const data::Matrix>> in_values;
-    std::vector<data::Matrix> out_values;
-    std::vector<DataId> out_ids;
-    std::vector<uint64_t> out_versions;
-    std::vector<size_t> inout_out_index;  // out_values slots of INOUTs
-    in_values.reserve(task.spec.params.size());
-    out_values.resize(task.spec.params.size());
-    size_t num_outputs = 0;
-    for (size_t i = 0; i < task.spec.params.size(); ++i) {
-      const Param& p = task.spec.params[i];
-      // Writer ordinal the oracle predicts for this access: reads
-      // expect it as the block's cache version (INOUT reads expect
-      // the pre-write version); writes publish it.
-      const uint64_t ordinal =
-          use_cache ? static_cast<uint64_t>(oracle.ordinal(id, i)) : 0;
-      if (p.dir == Dir::kIn) {
-        TB_ASSIGN_OR_RETURN(
-            std::shared_ptr<const data::Matrix> m,
-            read_shared(ctx, p.data, ordinal, &rec.stages.deserialize));
-        in_values.push_back(std::move(m));
-        continue;
-      }
-      if (p.dir == Dir::kInOut) {
-        TB_ASSIGN_OR_RETURN(
-            out_values[num_outputs],
-            read_owned(ctx, p.data, ordinal - 1, &rec.stages.deserialize));
-        inout_out_index.push_back(num_outputs);
-      }
-      out_ids.push_back(p.data);
-      out_versions.push_back(ordinal);
-      ++num_outputs;
-    }
-    out_values.resize(num_outputs);
-
-    // Kernel views: IN values first, then INOUT values (which alias
-    // their output slots so kernels can update in place).
-    std::vector<const data::Matrix*> inputs;
-    std::vector<data::Matrix*> outputs;
-    for (const auto& m : in_values) inputs.push_back(m.get());
-    for (size_t idx : inout_out_index) inputs.push_back(&out_values[idx]);
-    for (data::Matrix& m : out_values) outputs.push_back(&m);
-
-    const double kernel_start = SecondsSince(origin);
-    TB_RETURN_IF_ERROR(task.spec.kernel(inputs, outputs));
-    rec.stages.parallel_fraction = SecondsSince(origin) - kernel_start;
-
-    for (size_t i = 0; i < out_ids.size(); ++i) {
-      TB_RETURN_IF_ERROR(write_datum(ctx, out_ids[i], out_versions[i],
-                                     std::move(out_values[i]),
-                                     &rec.stages.serialize));
-    }
+    TB_RETURN_IF_ERROR(RunTaskAttempt(task, io, &rec.stages));
     rec.end = SecondsSince(origin);
     return Status::OK();
   };
@@ -638,10 +511,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // with the claim-time acquires), successor countdown, and the run
   // completion count. Callers hold the hedge claim (or the task was
   // never hedgeable), so this runs exactly once per task.
-  auto publish_completion = [&](WorkerContext& ctx, WorkerTelemetry* wt,
+  auto publish_completion = [&](int worker_id, WorkerTelemetry* wt,
                                 TaskId id) {
     WorkStealingQueue<TaskId>& own =
-        pool.queues[static_cast<size_t>(ctx.id)];
+        pool.queues[static_cast<size_t>(worker_id)];
     if (check) {
       const Task& task = graph.task(id);
       for (size_t i = 0; i < task.spec.params.size(); ++i) {
@@ -653,15 +526,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       completed_flag[static_cast<size_t>(id)].store(
           1, std::memory_order_release);
     }
-    if (wt != nullptr) {
-      wt->tasks->Add(1);
-      const TaskRecord& rec = records[static_cast<size_t>(id)];
-      const StageHists& h = wt->types[task_type_idx[static_cast<size_t>(id)]];
-      h.deserialize->Record(rec.stages.deserialize);
-      h.compute->Record(rec.stages.parallel_fraction);
-      h.serialize->Record(rec.stages.serialize);
-      h.duration->Record(rec.duration());
-    }
+    if (wt != nullptr) wt->tasks->Add(1);
     int64_t released = 0;
     for (TaskId succ : graph.task(id).successors) {
       if (pool.remaining_deps[static_cast<size_t>(succ)].fetch_sub(
@@ -684,16 +549,17 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // finished first the exchange loses and everything is discarded. A
   // failing duplicate is likewise discarded — the primary still owns
   // the task and surfaces any real error itself.
-  auto run_hedged = [&](WorkerContext& ctx, WorkerTelemetry* wt, TaskId id) {
+  auto run_hedged = [&](int worker_id, BlockIo& io, WorkerTelemetry* wt,
+                        TaskId id) {
     TaskRecord rec;
-    const Status status = run_task(ctx, id, 1, rec);
+    const Status status = run_task(io, id, 1, rec);
     if (!status.ok()) return;
     if (hedge_claim[static_cast<size_t>(id)].exchange(
             1, std::memory_order_seq_cst) != 0) {
       return;  // the primary won; no trace left
     }
     records[static_cast<size_t>(id)] = std::move(rec);
-    publish_completion(ctx, wt, id);
+    publish_completion(worker_id, wt, id);
   };
 
   auto worker = [&](int worker_id) {
@@ -704,11 +570,16 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                            worker_id, num_workers))].cpus);
       (void)ignored;
     }
-    WorkerContext ctx;
-    ctx.id = worker_id;
-    if (use_cache) {
-      ctx.cache = worker_caches[static_cast<size_t>(worker_id)].get();
-    }
+    // The worker's data plane: the store through its private block
+    // cache (when enabled) in storage mode, the value store otherwise.
+    StoreBlockIo store_io(
+        store_.get(), &keys, use_cache ? &oracle : nullptr,
+        check ? &data_version : nullptr,
+        use_cache ? worker_caches[static_cast<size_t>(worker_id)].get()
+                  : nullptr);
+    ValueStoreBlockIo value_io(&values);
+    BlockIo& io = options_.use_storage ? static_cast<BlockIo&>(store_io)
+                                       : value_io;
     WorkerTelemetry* wt =
         telemetry ? worker_telemetry[static_cast<size_t>(worker_id)].get()
                   : nullptr;
@@ -771,7 +642,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
         if (target >= 0 &&
             hedge_tried[static_cast<size_t>(target)].exchange(
                 1, std::memory_order_seq_cst) == 0) {
-          run_hedged(ctx, wt, target);
+          run_hedged(worker_id, io, wt, target);
           continue;
         }
       }
@@ -849,7 +720,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       Status status;
       int attempt = 1;
       for (;;) {
-        status = run_task(ctx, id, attempt, rec_slot);
+        status = run_task(io, id, attempt, rec_slot);
         if (status.ok() || attempt > options_.max_retries) break;
         {
           std::lock_guard<std::mutex> lock(pool.fault_mu);
@@ -865,8 +736,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
         // Interruptible backoff: sleep in short slices so a Cancel()
         // lands within ~1 ms instead of after a full exponential wait.
         const auto backoff = std::chrono::duration<double>(
-            options_.retry_backoff_s *
-            static_cast<double>(1ull << std::min(attempt - 1, 30)));
+            RetryBackoffSeconds(options_, attempt));
         const Clock::time_point wake_at =
             Clock::now() +
             std::chrono::duration_cast<Clock::duration>(backoff);
@@ -915,7 +785,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       // fetch_sub(acq_rel) / Steal pair carries the stores to
       // whichever worker claims a released successor), telemetry and
       // the completion count, shared with the hedged path.
-      publish_completion(ctx, wt, id);
+      publish_completion(worker_id, wt, id);
     }
   };
 
@@ -928,45 +798,16 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
   if (pool.failed.load(std::memory_order_seq_cst)) return pool.failure;
 
-  if (check) {
-    // Conservation: tasks run one-at-a-time per worker, so total busy
-    // time cannot exceed workers x makespan (all timestamps share one
-    // monotonic clock and every task ran inside [0, makespan]).
-    double busy = 0;
-    double max_end = 0;
-    for (const TaskRecord& rec : records) {
-      busy += rec.duration();
-      max_end = std::max(max_end, rec.end);
-    }
-    const double cap = max_end * num_workers;
-    if (busy > cap + 1e-9 * cap + 1e-12) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: total busy time %.17g exceeds %d "
-          "workers x makespan %.17g",
-          busy, num_workers, max_end));
-    }
-  }
-
+  std::vector<storage::BlockCache::Stats> cache_stats;
+  for (const auto& cache : worker_caches) cache_stats.push_back(cache->stats());
+  TB_ASSIGN_OR_RETURN(const double makespan,
+                      FinishRealRun(graph, records, num_workers, check,
+                                    metrics_sink, cache_stats));
   if (telemetry) {
     obs::MetricsRegistry& merged = *metrics_sink;
     for (const auto& wt : worker_telemetry) merged.MergeFrom(wt->registry);
     merged.gauge("pool.workers")->Set(num_workers);
     if (pool.retries > 0) merged.counter("pool.retries")->Add(pool.retries);
-    if (use_cache) {
-      obs::Counter* hits = merged.counter("cache.hits");
-      obs::Counter* misses = merged.counter("cache.misses");
-      obs::Counter* evictions = merged.counter("cache.evictions");
-      obs::Counter* invalidations = merged.counter("cache.invalidations");
-      obs::Gauge* peak = merged.gauge("cache.peak_bytes");
-      for (const auto& cache : worker_caches) {
-        const storage::BlockCache::Stats& s = cache->stats();
-        hits->Add(s.hits);
-        misses->Add(s.misses);
-        evictions->Add(s.evictions);
-        invalidations->Add(s.invalidations);
-        peak->SetMax(static_cast<double>(s.peak_bytes));
-      }
-    }
   }
 
   // Persist memory-mode values back onto the graph entries so they
@@ -980,9 +821,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
   RunReport report;
   report.records = std::move(records);
-  for (const TaskRecord& rec : report.records) {
-    report.makespan = std::max(report.makespan, rec.end);
-  }
+  report.makespan = makespan;
   report.faults.retries = pool.retries;
   report.attempts = std::move(pool.attempts);
   return report;
@@ -990,40 +829,33 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
 Result<data::Matrix> ThreadPoolExecutor::FetchData(const TaskGraph& graph,
                                                    DataId id) const {
-  if (id < 0 || id >= graph.num_data()) {
-    return Status::InvalidArgument(
-        StrFormat("unknown data id %lld", static_cast<long long>(id)));
+  // Memory mode writes final values back onto the graph entries; the
+  // graph read also refuses unknown ids.
+  if (!options_.use_storage || id < 0 || id >= graph.num_data()) {
+    return FetchGraphValue(graph, id);
   }
-  if (options_.use_storage) {
-    // Post-run read cache (block_cache mode, executor-private store
-    // only): baseline comparisons fetch the same result blocks over
-    // and over; serve repeats from the deserialized copy. Version 0
-    // is a constant — the cache is cleared whenever Execute may
-    // rewrite the scope-0 keys it was built from.
-    if (fetch_cache_ != nullptr) {
-      std::lock_guard<std::mutex> lock(fetch_mu_);
-      if (storage::BlockCache::ValuePtr hit =
-              fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
-        return *hit;
-      }
-      TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          store_->Get(KeyFor(0, id)));
-      TB_ASSIGN_OR_RETURN(data::Matrix m,
-                          storage::Serializer::Deserialize(bytes));
-      storage::BlockCache::ValuePtr cached =
-          fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
-      return *cached;
+  // Post-run read cache (block_cache mode, executor-private store
+  // only): baseline comparisons fetch the same result blocks over and
+  // over; serve repeats from the deserialized copy. Version 0 is a
+  // constant — the cache is cleared whenever Execute may rewrite the
+  // scope-0 keys it was built from.
+  if (fetch_cache_ != nullptr) {
+    std::lock_guard<std::mutex> lock(fetch_mu_);
+    if (storage::BlockCache::ValuePtr hit =
+            fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
+      return *hit;
     }
     TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
                         store_->Get(KeyFor(0, id)));
-    return storage::Serializer::Deserialize(bytes);
+    TB_ASSIGN_OR_RETURN(data::Matrix m,
+                        storage::Serializer::Deserialize(bytes));
+    storage::BlockCache::ValuePtr cached =
+        fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
+    return *cached;
   }
-  const DataEntry& entry = graph.data(id);
-  if (!entry.value.has_value()) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no value", static_cast<long long>(id)));
-  }
-  return *entry.value;
+  TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                      store_->Get(KeyFor(0, id)));
+  return storage::Serializer::Deserialize(bytes);
 }
 
 namespace internal {

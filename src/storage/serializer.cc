@@ -85,20 +85,32 @@ Result<data::Matrix> Serializer::Deserialize(const uint8_t* data,
     return Status::InvalidArgument("negative dimensions in serialized block");
   }
   const auto crc = ReadPod<uint32_t>(p + 24);
-  const uint64_t payload_bytes = static_cast<uint64_t>(rows) *
-                                 static_cast<uint64_t>(cols) * 8;
-  if (size != kHeaderBytes + payload_bytes) {
+  // The element count the buffer holds, checked against the header by
+  // division: rows * cols * 8 can wrap (rows = 2^31, cols = 2^30 wraps
+  // to 0 and would pass the size and CRC checks of an empty payload).
+  const size_t payload_bytes = size - kHeaderBytes;
+  const uint64_t elements = payload_bytes / 8;
+  const bool shape_matches =
+      payload_bytes % 8 == 0 &&
+      (rows == 0 || cols == 0
+           ? elements == 0
+           : static_cast<uint64_t>(cols) <= elements &&
+                 elements % static_cast<uint64_t>(cols) == 0 &&
+                 elements / static_cast<uint64_t>(cols) ==
+                     static_cast<uint64_t>(rows));
+  if (!shape_matches) {
     return Status::InvalidArgument(StrFormat(
-        "serialized block size mismatch: header says %llu payload bytes, "
-        "buffer has %zu",
-        static_cast<unsigned long long>(payload_bytes),
-        size - kHeaderBytes));
+        "serialized block size mismatch: header says %lldx%lld doubles, "
+        "buffer has %zu payload bytes",
+        static_cast<long long>(rows), static_cast<long long>(cols),
+        payload_bytes));
   }
   const uint8_t* payload = p + kHeaderBytes;
   if (Crc32(payload, payload_bytes) != crc) {
     return Status::InvalidArgument("checksum mismatch in serialized block");
   }
-  data::Matrix m(rows, cols);
+  // Every element is overwritten below, so skip the zero fill.
+  data::Matrix m = data::Matrix::Uninitialized(rows, cols);
   // 0x0 matrices have no payload and a null backing pointer; memcpy
   // requires non-null arguments even for zero sizes (UB otherwise).
   if (payload_bytes > 0) std::memcpy(m.data(), payload, payload_bytes);

@@ -100,6 +100,22 @@ TEST(ArgsTest, CheckAllReadNamesEveryUnreadKey) {
   EXPECT_TRUE(args.CheckAllRead().ok());
 }
 
+TEST(ArgsTest, PathOptionRefusesBareUse) {
+  const Args args = Make({"--trace", "--csv=", "--out", "o.json",
+                          "--metrics-json=m.json", "--again", "--again=a"});
+  const auto bare = args.GetPath("trace");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bare.status().message().find("--trace"), std::string::npos)
+      << bare.status().ToString();
+  EXPECT_FALSE(args.GetPath("csv").ok());  // an empty path is no path
+  EXPECT_EQ(*args.GetPath("out"), "o.json");
+  EXPECT_EQ(*args.GetPath("metrics-json"), "m.json");
+  EXPECT_EQ(*args.GetPath("again"), "a");  // the last value wins
+  EXPECT_EQ(*args.GetPath("absent"), "");
+  EXPECT_TRUE(args.CheckAllRead().ok());  // GetPath marks keys read
+}
+
 TEST(ArgsTest, NoOptionsPassesCheck) {
   const Args args = Make({"run", "positional"});
   EXPECT_TRUE(args.UnreadKeys().empty());

@@ -67,6 +67,18 @@ expect_refused(csv recommend --csv=rec.csv)
 expect_refused(bogus correlate --bogus)
 expect_refused(iterations dag --algorithm=matmul --iterations=3)
 
+# Path flags given bare are refused instead of writing a file named
+# "true"; boolean flags (--flow-events, --stats-only) stay bare above.
+file(REMOVE ${OUT_DIR}/true)
+expect_refused(trace run --grid=4x4 --trace)
+expect_refused(metrics-json run --grid=4x4 --metrics-json)
+expect_refused(csv sweep --algorithm=matmul --csv)
+expect_refused(export import ${wf} --export)
+if(EXISTS ${OUT_DIR}/true)
+  message(SEND_ERROR "a bare path flag wrote a file named 'true'")
+  math(EXPR failures "${failures} + 1")
+endif()
+
 if(failures GREATER 0)
   message(FATAL_ERROR "${failures} CLI flag check(s) failed")
 endif()

@@ -49,6 +49,42 @@ TEST(SerializerTest, DetectsTruncation) {
   EXPECT_FALSE(Serializer::Deserialize(bytes).ok());
 }
 
+// A bare 28-byte header (no payload, crc 0 — the CRC of zero bytes)
+// whose dimensions claim more doubles than the buffer holds.
+std::vector<uint8_t> HeaderOnlyBlock(int64_t rows, int64_t cols) {
+  std::vector<uint8_t> bytes;
+  Serializer::Serialize(data::Matrix(0, 0), &bytes);
+  EXPECT_EQ(bytes.size(), 28u);
+  std::memcpy(bytes.data() + 8, &rows, sizeof(rows));
+  std::memcpy(bytes.data() + 16, &cols, sizeof(cols));
+  return bytes;
+}
+
+TEST(SerializerTest, RejectsDimensionsWhoseByteCountWraps) {
+  // 2^31 x 2^30 doubles = 2^64 bytes: the byte count wraps to 0, which
+  // matched the empty payload and its CRC before the shape was checked
+  // against the buffer, and Matrix(2^31, 2^30) then aborted.
+  const auto wrapped = Serializer::Deserialize(
+      HeaderOnlyBlock(int64_t{1} << 31, int64_t{1} << 30));
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrapped.status().message().find("size mismatch"),
+            std::string::npos);
+
+  // 2^40 x 2^40 overflows int64 element counts too (Matrix's TB_CHECK
+  // shape) and likewise wraps to 0 bytes.
+  const auto overflowing = Serializer::Deserialize(
+      HeaderOnlyBlock(int64_t{1} << 40, int64_t{1} << 40));
+  ASSERT_FALSE(overflowing.ok());
+  EXPECT_EQ(overflowing.status().code(), StatusCode::kInvalidArgument);
+
+  // A zero-sized shape with a nonzero other dimension is still valid.
+  const auto empty_rows = Serializer::Deserialize(HeaderOnlyBlock(0, 7));
+  ASSERT_TRUE(empty_rows.ok());
+  EXPECT_EQ(empty_rows->rows(), 0);
+  EXPECT_EQ(empty_rows->cols(), 7);
+}
+
 TEST(SerializerTest, DetectsCorruptedPayload) {
   const data::Matrix original = RandomMatrix(4, 4, 1);
   std::vector<uint8_t> bytes;

@@ -14,6 +14,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/metrics_export.h"
+#include "runtime/multiproc_executor.h"
 #include "runtime/run_options.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/task_graph.h"
@@ -198,6 +199,125 @@ TEST(TelemetryTest, ThreadPoolRunPopulatesRegistry) {
   EXPECT_GT(registry.histogram("task.copy.duration_s")->sum(), 0.0);
   // The thread-pool path leaves the simulated-master breakdown empty.
   EXPECT_FALSE(report->sched_phases.any());
+}
+
+/// A storage-mode graph every executor can run: `kLanes` "scale"
+/// tasks read one shared input (block-cache hits) and feed
+/// "accumulate" tasks that update one INOUT sum (cache invalidations).
+constexpr int kLanes = 6;
+
+TaskGraph ParityGraph() {
+  TaskGraph graph;
+  const DataId shared = graph.AddData(data::Matrix(8, 8, 2.0));
+  const DataId sum = graph.AddData(data::Matrix(8, 8, 0.0));
+  for (int lane = 0; lane < kLanes; ++lane) {
+    const DataId scaled = graph.AddData(static_cast<uint64_t>(8 * 8 * 8));
+    TaskSpec scale;
+    scale.type = "scale";
+    scale.params = {{shared, Dir::kIn}, {scaled, Dir::kOut}};
+    scale.cost.parallel.flops = 1e6;
+    scale.kernel = [lane](const std::vector<const data::Matrix*>& inputs,
+                          const std::vector<data::Matrix*>& outputs) {
+      *outputs[0] = *inputs[0];
+      for (int64_t r = 0; r < outputs[0]->rows(); ++r) {
+        for (int64_t c = 0; c < outputs[0]->cols(); ++c) {
+          outputs[0]->At(r, c) *= lane + 1;
+        }
+      }
+      return Status::OK();
+    };
+    TB_CHECK_OK(graph.Submit(scale).status());
+    TaskSpec accumulate;
+    accumulate.type = "accumulate";
+    accumulate.params = {{scaled, Dir::kIn}, {shared, Dir::kIn},
+                         {sum, Dir::kInOut}};
+    accumulate.cost.parallel.flops = 1e6;
+    accumulate.kernel = [](const std::vector<const data::Matrix*>& inputs,
+                           const std::vector<data::Matrix*>& outputs) {
+      for (int64_t r = 0; r < outputs[0]->rows(); ++r) {
+        for (int64_t c = 0; c < outputs[0]->cols(); ++c) {
+          outputs[0]->At(r, c) += inputs[0]->At(r, c) - inputs[1]->At(r, c);
+        }
+      }
+      return Status::OK();
+    };
+    TB_CHECK_OK(graph.Submit(accumulate).status());
+  }
+  return graph;
+}
+
+/// The registry's JSON rendering, to test for a name without
+/// creating the instrument.
+std::string RegistryJson(const obs::MetricsRegistry& registry) {
+  std::ostringstream out;
+  registry.WriteJson(out);
+  return out.str();
+}
+
+// The same stage-histogram schema from every executor, and the same
+// cache counters from both real ones (they share one attempt body and
+// one run epilogue). The multi-process leg runs first: it must fork
+// from a process without other threads.
+TEST(TelemetryTest, StageAndCacheTelemetryMatchAcrossExecutors) {
+  RunOptions options;
+  options.num_threads = 2;
+  options.num_procs = 2;
+  options.use_storage = true;
+  options.block_cache = true;
+
+  obs::MetricsRegistry procs_registry;
+  {
+    TaskGraph graph = ParityGraph();
+    RunContext ctx;
+    ctx.metrics = &procs_registry;
+    MultiProcExecutor procs(options);
+    ASSERT_TRUE(procs.Execute(graph, ctx).ok());
+  }
+  obs::MetricsRegistry threads_registry;
+  {
+    TaskGraph graph = ParityGraph();
+    RunContext ctx;
+    ctx.metrics = &threads_registry;
+    ThreadPoolExecutor threads(options);
+    ASSERT_TRUE(threads.Execute(graph, ctx).ok());
+  }
+  obs::MetricsRegistry sim_registry;
+  {
+    const TaskGraph graph = ParityGraph();
+    RunContext ctx;
+    ctx.metrics = &sim_registry;
+    SimulatedExecutor sim(hw::MinotauroCluster(), options);
+    ASSERT_TRUE(sim.Execute(graph, ctx).ok());
+  }
+
+  for (obs::MetricsRegistry* registry :
+       {&procs_registry, &threads_registry, &sim_registry}) {
+    const std::string json = RegistryJson(*registry);
+    for (const char* type : {"scale", "accumulate"}) {
+      for (const char* stage :
+           {"deserialize", "compute", "serialize", "duration"}) {
+        const std::string name =
+            std::string("task.") + type + "." + stage + "_s";
+        ASSERT_NE(json.find('"' + name + '"'), std::string::npos) << name;
+        EXPECT_EQ(registry->histogram(name)->count(), kLanes) << name;
+      }
+    }
+  }
+  for (obs::MetricsRegistry* registry : {&procs_registry, &threads_registry}) {
+    const std::string json = RegistryJson(*registry);
+    for (const char* name : {"cache.hits", "cache.misses", "cache.evictions",
+                             "cache.invalidations", "cache.peak_bytes"}) {
+      EXPECT_NE(json.find('"' + std::string(name) + '"'), std::string::npos)
+          << name;
+    }
+  }
+  // Every IN and INOUT read asks the cache once, on either transport.
+  const auto lookups = [](obs::MetricsRegistry& registry) {
+    return registry.counter("cache.hits")->value() +
+           registry.counter("cache.misses")->value();
+  };
+  EXPECT_EQ(lookups(threads_registry), 4 * kLanes);
+  EXPECT_EQ(lookups(procs_registry), lookups(threads_registry));
 }
 
 TEST(TelemetryTest, MetricsJsonIsValid) {

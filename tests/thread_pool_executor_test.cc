@@ -1,6 +1,8 @@
 #include "runtime/thread_pool_executor.h"
 
 #include <atomic>
+#include <chrono>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +164,36 @@ TEST_P(ThreadPoolExecutorModes, MissingKernelIsFailedPrecondition) {
   auto report = executor.Execute(graph);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Mirrors MultiProcExecutorTest.SimulationOnlyGraphIsRejected: a graph
+// without kernels is refused before anything is staged, not found
+// inside the first attempt and then retried through the backoff
+// (3 retries at 1 s base would sleep 7 s).
+TEST(ThreadPoolExecutorTest, SimulationOnlyGraphIsRejected) {
+  TaskGraph graph;
+  const DataId a = graph.AddData(static_cast<uint64_t>(64));
+  const DataId b = graph.AddData(static_cast<uint64_t>(64));
+  TaskSpec spec;
+  spec.type = "no_kernel";
+  spec.params = {{a, Dir::kIn}, {b, Dir::kOut}};
+  ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
+  RunOptions options;
+  options.num_threads = 2;
+  options.max_retries = 3;
+  options.retry_backoff_s = 1;
+  ThreadPoolExecutor executor(options);
+  const auto start = std::chrono::steady_clock::now();
+  auto report = executor.Execute(graph);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status().message().find("has no kernel"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_LT(elapsed_s, 0.5);
 }
 
 TEST_P(ThreadPoolExecutorModes, RecordsStageTimes) {

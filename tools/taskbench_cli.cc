@@ -298,13 +298,19 @@ int CmdRun(const tb::Args& args) {
   if (!hybrid.ok()) return Fail(hybrid.status().ToString());
   const auto gantt = args.GetBool("gantt", false);
   if (!gantt.ok()) return Fail(gantt.status().ToString());
-  const bool trace = args.Has("trace");
+  const auto trace_path = args.GetPath("trace");
+  if (!trace_path.ok()) return Fail(trace_path.status().ToString());
+  const bool trace = !trace_path->empty();
   // Dependency arrows only exist in a trace; without --trace the flag
   // stays unread and is refused.
   const auto flow = trace ? args.GetBool("flow-events", false) : false;
   if (!flow.ok()) return Fail(flow.status().ToString());
-  const bool metrics_json = args.Has("metrics-json");
-  const bool csv = args.Has("csv");
+  const auto metrics_path = args.GetPath("metrics-json");
+  if (!metrics_path.ok()) return Fail(metrics_path.status().ToString());
+  const bool metrics_json = !metrics_path->empty();
+  const auto csv_path = args.GetPath("csv");
+  if (!csv_path.ok()) return Fail(csv_path.status().ToString());
+  const bool csv = !csv_path->empty();
   if (const int rc = FailOnUnread(args)) return rc;
 
   tb::obs::MetricsRegistry registry;
@@ -380,24 +386,21 @@ int CmdRun(const tb::Args& args) {
       trace_options.flow_events = true;
     }
     const tb::Status status = tb::runtime::WriteChromeTrace(
-        result->report, args.GetString("trace"), trace_options);
+        result->report, *trace_path, trace_options);
     if (!status.ok()) return Fail(status.ToString());
-    std::printf("trace written to %s\n", args.GetString("trace").c_str());
+    std::printf("trace written to %s\n", trace_path->c_str());
   }
   if (metrics_json) {
     const tb::Status status = tb::runtime::WriteMetricsJson(
-        result->report, &registry, args.GetString("metrics-json"));
+        result->report, &registry, *metrics_path);
     if (!status.ok()) return Fail(status.ToString());
-    std::printf("metrics written to %s\n",
-                args.GetString("metrics-json").c_str());
+    std::printf("metrics written to %s\n", metrics_path->c_str());
   }
   if (csv) {
     const tb::Status status = tb::analysis::WriteFile(
-        args.GetString("csv"),
-        tb::analysis::TaskRecordsCsv(result->report));
+        *csv_path, tb::analysis::TaskRecordsCsv(result->report));
     if (!status.ok()) return Fail(status.ToString());
-    std::printf("task records written to %s\n",
-                args.GetString("csv").c_str());
+    std::printf("task records written to %s\n", csv_path->c_str());
   }
   return 0;
 }
@@ -590,7 +593,8 @@ int CmdServe(const tb::Args& args) {
 int CmdSweep(const tb::Args& args) {
   auto base = BuildConfig(args, /*fixed_grid=*/false);
   if (!base.ok()) return Fail(base.status().ToString());
-  const bool csv = args.Has("csv");
+  const auto csv_path = args.GetPath("csv");
+  if (!csv_path.ok()) return Fail(csv_path.status().ToString());
   if (const int rc = FailOnUnread(args)) return rc;
   const auto grids = base->algorithm == Algorithm::kKMeans
                          ? tb::analysis::KMeansPaperGrids()
@@ -622,17 +626,18 @@ int CmdSweep(const tb::Args& args) {
     results.push_back(std::move(*gpu));
   }
   std::printf("%s", table.ToString().c_str());
-  if (csv) {
+  if (!csv_path->empty()) {
     const tb::Status status = tb::analysis::WriteFile(
-        args.GetString("csv"), tb::analysis::ExperimentsCsv(results));
+        *csv_path, tb::analysis::ExperimentsCsv(results));
     if (!status.ok()) return Fail(status.ToString());
-    std::printf("results written to %s\n", args.GetString("csv").c_str());
+    std::printf("results written to %s\n", csv_path->c_str());
   }
   return 0;
 }
 
 int CmdCorrelate(const tb::Args& args) {
-  const bool csv = args.Has("csv");
+  const auto csv_path = args.GetPath("csv");
+  if (!csv_path.ok()) return Fail(csv_path.status().ToString());
   if (const int rc = FailOnUnread(args)) return rc;
   const auto configs = tb::analysis::CorrelationSampleConfigs();
   std::printf("running %zu configurations...\n", configs.size());
@@ -648,11 +653,11 @@ int CmdCorrelate(const tb::Args& args) {
   auto matrix = table->SpearmanMatrix();
   if (!matrix.ok()) return Fail(matrix.status().ToString());
   std::printf("%s", matrix->ToString().c_str());
-  if (csv) {
+  if (!csv_path->empty()) {
     const tb::Status status = tb::analysis::WriteFile(
-        args.GetString("csv"), tb::analysis::CorrelationCsv(*matrix));
+        *csv_path, tb::analysis::CorrelationCsv(*matrix));
     if (!status.ok()) return Fail(status.ToString());
-    std::printf("matrix written to %s\n", args.GetString("csv").c_str());
+    std::printf("matrix written to %s\n", csv_path->c_str());
   }
   return 0;
 }
@@ -732,7 +737,8 @@ int CmdImport(const tb::Args& args) {
                 " [--stats-only]");
   }
   const std::string path = args.positional()[1];
-  const bool export_instance = args.Has("export");
+  const auto export_path = args.GetPath("export");
+  if (!export_path.ok()) return Fail(export_path.status().ToString());
   const auto stats_only = args.GetBool("stats-only", false);
   if (!stats_only.ok()) return Fail(stats_only.status().ToString());
   // Run options are read only when the instance runs; with
@@ -781,12 +787,12 @@ int CmdImport(const tb::Args& args) {
     std::printf("  type %-18s x%d\n", type.c_str(), count);
   }
 
-  if (export_instance) {
-    const std::string out_path = args.GetString("export", "");
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out.good()) return Fail("cannot write '" + out_path + "'");
+  if (!export_path->empty()) {
+    std::ofstream out(*export_path, std::ios::binary);
+    if (!out.good()) return Fail("cannot write '" + *export_path + "'");
     out << tb::wf::ExportWfFormat(*instance);
-    std::printf("exported normalized WfFormat to %s\n", out_path.c_str());
+    std::printf("exported normalized WfFormat to %s\n",
+                export_path->c_str());
   }
   if (*stats_only) return 0;
 
