@@ -35,12 +35,41 @@
 
 namespace taskbench::runtime {
 
+namespace {
+
+/// Deserializes the arena record a (nonzero) directory tag points at.
+/// Records are immutable once staged and offsets are never reused
+/// within a run, so during a run a tag identifies one block version —
+/// which is what makes tags usable as block-cache versions. Offsets
+/// (and so tags) repeat across runs, since every Execute rewinds the
+/// arena; worker caches stay correct because each is created after
+/// its worker's fork and dies with that run's workers.
+Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
+                                 uint64_t tag) {
+  const uint8_t* record = arena.At(tag - 1);
+  uint64_t payload = 0;
+  std::memcpy(&payload, record, sizeof(payload));
+  return storage::Serializer::Deserialize(record + 8, payload);
+}
+
+}  // namespace
+
 MultiProcExecutor::MultiProcExecutor(RunOptions options)
     : options_(std::move(options)) {}
 
 Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
                                                   DataId id) const {
-  return FetchGraphValue(graph, id);
+  if (tags_.size() != static_cast<size_t>(graph.num_data())) {
+    return Status::FailedPrecondition(
+        "no values to fetch: the last multi-process Execute failed, was "
+        "cancelled, never ran, or ran a graph of another size");
+  }
+  const uint64_t tag =
+      id >= 0 && id < graph.num_data() ? tags_[static_cast<size_t>(id)] : 0;
+  // Tag 0: an unknown id, or a datum with neither an initial value nor
+  // a writer; the graph read reports which.
+  if (tag == 0) return FetchGraphValue(graph, id);
+  return ReadBlockAt(arena_, tag);
 }
 
 #if defined(_WIN32)
@@ -63,9 +92,10 @@ namespace {
 /// the worker to sweep block-cache entries whose stored tag no longer
 /// matches the directory. Correctness never depends on the sweep —
 /// entries are keyed by directory tag, and arena records are
-/// immutable and never reused, so a stale entry is unreachable — the
-/// epoch only reclaims budget bytes dead entries would otherwise pin
-/// until LRU eviction.
+/// immutable and never reused within a run (the cache dies with the
+/// run's worker), so a stale entry is unreachable — the epoch only
+/// reclaims budget bytes dead entries would otherwise pin until LRU
+/// eviction.
 struct TaskMsg {
   int64_t task = -1;
   int32_t attempt = 1;
@@ -144,18 +174,6 @@ Result<uint64_t> StageBlock(storage::ShmArena& arena, const data::Matrix& m) {
   std::memcpy(record, &payload, sizeof(payload));
   storage::Serializer::SerializeTo(m, record + 8);
   return offset;
-}
-
-/// Deserializes the arena record a (nonzero) directory tag points at.
-/// Records are immutable once staged and offsets are never reused, so
-/// a tag identifies one block version forever — which is what makes
-/// tags usable as block-cache versions.
-Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
-                                 uint64_t tag) {
-  const uint8_t* record = arena.At(tag - 1);
-  uint64_t payload = 0;
-  std::memcpy(&payload, record, sizeof(payload));
-  return storage::Serializer::Deserialize(record + 8, payload);
 }
 
 void SetError(CompletionMsg* msg, const Status& status) {
@@ -382,6 +400,13 @@ uint64_t EstimateArenaBytes(const TaskGraph& graph, int max_retries) {
   return std::max<uint64_t>(2 * need, 1 << 20);
 }
 
+/// Whether a retained segment of `have` bytes serves a run needing
+/// `need`: it must fit, and be at most 4x too large, so what an
+/// executor keeps mapped stays bounded by its recent runs' needs.
+bool Reusable(uint64_t have, uint64_t need) {
+  return need <= have && have / 4 <= need;
+}
+
 /// Threads in the calling process, via procfs; -1 when unknown (no
 /// /proc, e.g. macOS). fork() without exec duplicates only the
 /// calling thread, so any mutex another thread holds at fork time
@@ -428,6 +453,9 @@ bool MultiProcExecutor::Supported() { return true; }
 
 Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                              const RunContext& ctx) {
+  // This run rewinds the arena over the last one's records: whatever
+  // happens below, they are no longer fetchable.
+  tags_.clear();
   TB_RETURN_IF_ERROR(graph.Validate());
   const int64_t total = graph.num_tasks();
   const int64_t num_data = graph.num_data();
@@ -457,14 +485,24 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   // Shared-memory data plane: the block arena plus a control segment
   // holding the per-worker rings and the block directory. Everything
   // is mapped before fork so all processes share the pages at the
-  // same addresses.
+  // same addresses. Both segments outlive the run: the previous run's
+  // workers are all reaped, so nothing else maps them, and the arena
+  // is rewound instead of mapped (and faulted in) afresh.
   // ----------------------------------------------------------------
   const uint64_t arena_bytes =
       options_.shm_arena_bytes > 0
           ? options_.shm_arena_bytes
           : EstimateArenaBytes(graph, options_.max_retries);
-  TB_ASSIGN_OR_RETURN(storage::ShmArena arena,
-                      storage::ShmArena::Create("arena", arena_bytes));
+  if (Reusable(arena_bytes_, arena_bytes)) {
+    arena_.Reset();
+  } else {
+    arena_ = storage::ShmArena();  // unmap before mapping the new one
+    arena_bytes_ = 0;
+    TB_ASSIGN_OR_RETURN(arena_,
+                        storage::ShmArena::Create("arena", arena_bytes));
+    arena_bytes_ = arena_bytes;
+  }
+  storage::ShmArena& arena = arena_;
 
   const bool use_cache = options_.block_cache;
   const uint64_t cache_bytes = use_cache ? BlockCacheBytes(options_) : 0;
@@ -480,8 +518,12 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   const uint64_t control_bytes =
       cache_stats_off +
       static_cast<uint64_t>(num_workers) * sizeof(storage::BlockCache::Stats);
-  TB_ASSIGN_OR_RETURN(storage::ShmSegment control,
-                      storage::ShmSegment::Create("ctl", control_bytes));
+  if (!Reusable(control_.bytes(), control_bytes)) {
+    control_ = storage::ShmSegment();
+    TB_ASSIGN_OR_RETURN(control_,
+                        storage::ShmSegment::Create("ctl", control_bytes));
+  }
+  const storage::ShmSegment& control = control_;
   auto* header = new (control.base() + header_off) ControlHeader();
   auto* channels =
       reinterpret_cast<WorkerChannel*>(control.base() + channels_off);
@@ -857,15 +899,6 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   if (failed) return failure;
 
-  // Persist final values onto the graph entries (the arena unmaps
-  // when this function returns).
-  for (DataId d = 0; d < num_data; ++d) {
-    const uint64_t tag = directory[d].load(std::memory_order_acquire);
-    if (tag == 0) continue;
-    TB_ASSIGN_OR_RETURN(data::Matrix value, ReadBlockAt(arena, tag));
-    graph.mutable_data(d).value = std::move(value);
-  }
-
   obs::MetricsRegistry* const metrics_sink =
       ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
   TB_ASSIGN_OR_RETURN(
@@ -883,6 +916,14 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     if (dead_workers > 0) {
       registry.counter("pool.worker_crashes")->Add(dead_workers);
     }
+  }
+
+  // Keep the final tags for FetchData, which reads the records out of
+  // the retained arena; the graph entries keep their initial values.
+  tags_.resize(static_cast<size_t>(num_data));
+  for (DataId d = 0; d < num_data; ++d) {
+    tags_[static_cast<size_t>(d)] =
+        directory[d].load(std::memory_order_acquire);
   }
 
   RunReport report;

@@ -1,7 +1,9 @@
 #ifndef TASKBENCH_RUNTIME_MULTIPROC_EXECUTOR_H_
 #define TASKBENCH_RUNTIME_MULTIPROC_EXECUTOR_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "data/matrix.h"
@@ -9,6 +11,7 @@
 #include "runtime/metrics.h"
 #include "runtime/run_options.h"
 #include "runtime/task_graph.h"
+#include "storage/shm_arena.h"
 
 namespace taskbench::runtime {
 
@@ -19,8 +22,9 @@ namespace taskbench::runtime {
 ///
 /// Architecture (docs/SCALE_OUT.md has the full picture):
 ///  - The coordinator (the calling process) builds the graph, maps a
-///    shared-memory block arena plus a control segment, and forks
-///    `options.num_procs` single-threaded workers. Forking *after*
+///    shared-memory block arena plus a control segment (both kept
+///    across runs, see Execute), and forks `options.num_procs`
+///    single-threaded workers for each run. Forking *after*
 ///    graph construction means kernels (std::function, inherently
 ///    unserializable) ride into the workers via copy-on-write for
 ///    free — no code shipping, no kernel registry.
@@ -68,20 +72,39 @@ class MultiProcExecutor final : public Executor {
   static bool Supported();
 
   /// Runs the graph across worker processes. Initial data values are
-  /// taken from the graph; on success every datum's final value is
-  /// written back onto the graph entries (read them with FetchData).
+  /// taken from the graph and the graph entries are never written, so
+  /// re-running the same graph starts from its initial values again.
+  ///
+  /// The executor retains its shm arena and control segment between
+  /// runs. Both are mapped at the first Execute, not at construction.
+  /// A later run rewinds the arena (only after every worker of the
+  /// previous run was reaped) and maps a new one only when the graph's
+  /// estimated need does not fit or is under a quarter of the retained
+  /// capacity, so retained shared memory stays bounded by the recent
+  /// runs' needs. The memory is released when the executor is
+  /// destroyed. On success Execute also retains the final directory
+  /// tags, which FetchData reads.
+  ///
   /// Cancellation (RunContext::cancel) is polled on every coordinator
   /// scheduling pass; telemetry goes to RunContext::metrics, or to
   /// options().metrics when that is null. RunContext::scope is
-  /// ignored (each Execute maps a private arena, so concurrent runs
-  /// cannot collide — but the single-threaded-caller rule below rules
-  /// concurrent callers out anyway).
+  /// ignored: one executor runs one graph at a time over its one
+  /// arena, which the single-threaded-caller rule below enforces for
+  /// callers anyway.
   Result<RunReport> Execute(TaskGraph& graph, const RunContext& ctx);
   Result<RunReport> Execute(TaskGraph& graph) {
     return Execute(graph, RunContext{});
   }
 
-  /// Reads a datum's final value after Execute.
+  /// Reads a datum's final value from the last run, deserializing its
+  /// record out of the retained arena (CRC-checked, as every arena
+  /// read is). Only the last Execute is readable, and only if it
+  /// succeeded: a run rewinds the arena over its predecessor's
+  /// records, so after a failed or cancelled Execute FetchData fails
+  /// with FailedPrecondition rather than serve stale values. It also
+  /// refuses a graph whose datum count differs from the last run's;
+  /// fetching through another graph of the same size is the caller's
+  /// error and goes undetected.
   Result<data::Matrix> FetchData(const TaskGraph& graph, DataId id) const;
 
   // Executor interface.
@@ -99,6 +122,14 @@ class MultiProcExecutor final : public Executor {
 
  private:
   RunOptions options_;
+  /// The retained data plane (empty until the first Execute).
+  /// `arena_bytes_` is the capacity the arena was requested with.
+  storage::ShmArena arena_;
+  uint64_t arena_bytes_ = 0;
+  storage::ShmSegment control_;
+  /// Final directory tags of the last run (arena offset + 1; 0 = no
+  /// value), one per datum; empty unless that run succeeded.
+  std::vector<uint64_t> tags_;
 };
 
 }  // namespace taskbench::runtime

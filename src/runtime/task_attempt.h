@@ -141,8 +141,10 @@ Result<double> FinishRealRun(
     int workers, bool check, obs::MetricsRegistry* registry,
     const std::vector<storage::BlockCache::Stats>& caches);
 
-/// The value a run left on the graph entry of `id`: the post-run read
-/// of executors that write final values back onto the graph.
+/// The value on the graph entry of `id`: the post-run read of the
+/// memory-mode thread pool, which writes final values back onto the
+/// graph. Refuses unknown ids (InvalidArgument) and valueless data
+/// (NotFound).
 Result<data::Matrix> FetchGraphValue(const TaskGraph& graph, DataId id);
 
 }  // namespace taskbench::runtime

@@ -151,6 +151,10 @@ Result<uint64_t> ShmArena::Allocate(uint64_t bytes) {
   }
 }
 
+void ShmArena::Reset() {
+  header()->next.store(AlignUp(sizeof(Header)), std::memory_order_relaxed);
+}
+
 uint64_t ShmArena::capacity() const { return header()->capacity; }
 
 uint64_t ShmArena::used() const {

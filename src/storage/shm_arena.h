@@ -51,10 +51,12 @@ class ShmSegment {
 /// fetch_add on an atomic cursor that lives in the segment itself.
 /// Records are never freed individually — a datum overwritten by a
 /// later task version gets a fresh record and the old one is
-/// abandoned; the whole arena is reclaimed when the run's mappings
-/// close. That makes write-after-read safe by construction: a reader
-/// holding an old offset can keep deserializing while the new version
-/// lands elsewhere.
+/// abandoned; the whole arena is reclaimed at once by Reset, which
+/// its owner calls between runs once no process can still touch a
+/// record. That makes write-after-read safe by construction within a
+/// run: a reader holding an old offset can keep deserializing while
+/// the new version lands elsewhere. Offsets repeat across a Reset, so
+/// an offset names one record only until the next one.
 ///
 /// Layout: [Header | 64-byte-aligned records...]. Each Allocate
 /// returns a record offset; callers prefix their payload with
@@ -76,6 +78,12 @@ class ShmArena {
   /// which is reported distinctly so callers know resizing is needed
   /// rather than the run simply being too big.
   Result<uint64_t> Allocate(uint64_t bytes);
+
+  /// Rewinds the bump cursor to the first record, so the next
+  /// Allocate reuses the arena from its start. Every outstanding
+  /// offset becomes dangling: only call it when no other process
+  /// still maps the arena (the executor reaps all its workers first).
+  void Reset();
 
   /// Pointer to the record at `offset`. Valid in every process that
   /// inherited the mapping.

@@ -7,7 +7,10 @@
 
 #include "check/invariants.h"
 #include "check/workload.h"
+#include "common/random.h"
+#include "data/generators.h"
 #include "obs/metrics.h"
+#include "runtime/cancellation.h"
 #include "runtime/task_graph.h"
 #include "runtime/thread_pool_executor.h"
 
@@ -17,8 +20,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <new>
 #include <thread>
+#include <utility>
 #endif
 
 namespace taskbench::runtime {
@@ -453,6 +460,267 @@ TEST(MultiProcExecutorTest, MultiThreadedCallerIsRejected) {
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(report.status().message().find("single-threaded"),
             std::string::npos);
+}
+#endif  // __linux__
+
+// The graphs below share one shape and differ in block size and input
+// values: a = rand, b = rand, x = a + b, y = x + a, acc += x, acc += y.
+// Two runs of the same size lay their records out identically, so they
+// publish the same directory tags for different values.
+KernelFn SumKernel() {
+  return [](const std::vector<const data::Matrix*>& inputs,
+            const std::vector<data::Matrix*>& outputs) -> Status {
+    data::Matrix m = *inputs[0];
+    for (int64_t i = 0; i < m.size(); ++i) m.data()[i] += inputs[1]->data()[i];
+    *outputs[0] = std::move(m);
+    return Status::OK();
+  };
+}
+
+struct ShapedGraph {
+  TaskGraph graph;
+  std::vector<DataId> data;
+};
+
+ShapedGraph BuildShapedGraph(int64_t n, uint64_t seed) {
+  ShapedGraph out;
+  TaskGraph& g = out.graph;
+  Rng rng(seed);
+  data::Matrix a_value(n, n);
+  data::Matrix b_value(n, n);
+  data::FillUniform(&a_value, &rng);
+  data::FillUniform(&b_value, &rng);
+  const uint64_t bytes = static_cast<uint64_t>(n * n * 8);
+  const DataId a = g.AddData(std::move(a_value));
+  const DataId b = g.AddData(std::move(b_value));
+  const DataId x = g.AddData(bytes);
+  const DataId y = g.AddData(bytes);
+  const DataId acc = g.AddData(data::Matrix(n, n, 0.0));
+  auto submit = [&g](std::vector<Param> params) {
+    TaskSpec spec;
+    spec.type = "sum";
+    spec.params = std::move(params);
+    spec.kernel = SumKernel();
+    EXPECT_TRUE(g.Submit(std::move(spec)).ok());
+  };
+  submit({{a, Dir::kIn}, {b, Dir::kIn}, {x, Dir::kOut}});
+  submit({{x, Dir::kIn}, {a, Dir::kIn}, {y, Dir::kOut}});
+  submit({{x, Dir::kIn}, {acc, Dir::kInOut}});
+  submit({{y, Dir::kIn}, {acc, Dir::kInOut}});
+  out.data = {a, b, x, y, acc};
+  return out;
+}
+
+std::vector<data::Matrix> FetchAll(const Executor& executor,
+                                   const ShapedGraph& built) {
+  std::vector<data::Matrix> values;
+  for (const DataId d : built.data) {
+    auto value = executor.Fetch(built.graph, d);
+    EXPECT_TRUE(value.ok()) << value.status().ToString();
+    values.push_back(value.ok() ? std::move(value).value() : data::Matrix());
+  }
+  return values;
+}
+
+/// Values of the shaped graph run alone on a fresh executor (which is
+/// gone, arena and all, when this returns).
+std::vector<data::Matrix> FreshRunValues(const RunOptions& options, int64_t n,
+                                         uint64_t seed) {
+  ShapedGraph built = BuildShapedGraph(n, seed);
+  MultiProcExecutor fresh(options);
+  auto report = fresh.Execute(built.graph);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return FetchAll(fresh, built);
+}
+
+#if defined(__linux__)
+/// [start, end) of the one block arena this process maps (shm objects
+/// are named "/tb-arena-*" and unlinked at creation); {0, 0} unless
+/// exactly one is mapped.
+std::pair<uintptr_t, uintptr_t> ArenaMapping() {
+  std::ifstream maps("/proc/self/maps");
+  std::pair<uintptr_t, uintptr_t> found{0, 0};
+  int count = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find("/tb-arena-") == std::string::npos) continue;
+    unsigned long long start = 0;
+    unsigned long long end = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx", &start, &end) != 2) continue;
+    found = {static_cast<uintptr_t>(start), static_cast<uintptr_t>(end)};
+    ++count;
+  }
+  return count == 1 ? found : std::pair<uintptr_t, uintptr_t>{0, 0};
+}
+#endif  // __linux__
+
+// One executor runs small, larger (the arena is re-created), then
+// small again (the arena is reused) graphs of one shape with
+// different inputs. The first and third runs publish the same tags for
+// different values, so any state that outlived a run — a cached block,
+// a directory slot, a cursor — would serve the wrong values here.
+TEST(MultiProcExecutorTest, RetainedArenaServesEachRunBitExact) {
+  struct Step {
+    int64_t n;
+    uint64_t seed;
+  };
+  // 16^2 blocks fit the 1 MiB arena floor; 160^2 blocks need ~2.9 MB,
+  // and 1 MiB is still over a quarter of that.
+  const Step steps[] = {{16, 1}, {160, 2}, {16, 3}};
+  for (const bool cache : {false, true}) {
+    RunOptions options = ProcOptions(2);
+    options.block_cache = cache;
+    MultiProcExecutor executor(options);
+    std::vector<std::vector<data::Matrix>> runs;
+#if defined(__linux__)
+    EXPECT_EQ(ArenaMapping().second, 0u) << "the arena is mapped lazily";
+    std::vector<std::pair<uintptr_t, uintptr_t>> mappings;
+#endif
+    for (const Step& step : steps) {
+      ShapedGraph built = BuildShapedGraph(step.n, step.seed);
+      auto report = executor.Execute(built.graph);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      runs.push_back(FetchAll(executor, built));
+#if defined(__linux__)
+      mappings.push_back(ArenaMapping());
+      ASSERT_NE(mappings.back().second, 0u);
+#endif
+      const std::vector<data::Matrix> want =
+          FreshRunValues(options, step.n, step.seed);
+      ASSERT_EQ(runs.back().size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(runs.back()[i] == want[i])
+            << "datum " << built.data[i] << " of the n=" << step.n
+            << " run diverged from a fresh executor (cache " << cache << ")";
+      }
+    }
+    // Same tags, different values: the check above could tell them apart.
+    EXPECT_FALSE(runs[0].back() == runs[2].back());
+#if defined(__linux__)
+    const auto size = [](const std::pair<uintptr_t, uintptr_t>& m) {
+      return m.second - m.first;
+    };
+    EXPECT_GT(size(mappings[1]), size(mappings[0])) << "not re-created";
+    EXPECT_EQ(mappings[2], mappings[1]) << "not reused";
+#endif
+  }
+}
+
+// A failed or cancelled run rewinds the arena over the previous run's
+// records, so Fetch must refuse rather than serve them.
+TEST(MultiProcExecutorTest, FetchAfterFailedOrCancelledRunServesNothing) {
+  auto build = [](bool fail) {
+    TaskGraph graph;
+    const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+    const DataId out = graph.AddData(static_cast<uint64_t>(32));
+    KernelFn kernel = AddOneKernel();
+    if (fail) {
+      kernel = [](const std::vector<const data::Matrix*>&,
+                  const std::vector<data::Matrix*>&) -> Status {
+        return Status::Internal("injected kernel error");
+      };
+    }
+    EXPECT_TRUE(graph.Submit(SimpleTask(in, out, std::move(kernel))).ok());
+    return std::make_pair(std::move(graph), out);
+  };
+  auto [good, out] = build(false);
+  auto [bad, bad_out] = build(true);
+
+  MultiProcExecutor executor(ProcOptions(2));  // max_retries = 0
+  auto unrun = executor.FetchData(good, out);
+  ASSERT_FALSE(unrun.ok());
+  EXPECT_EQ(unrun.status().code(), StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(executor.Execute(good).ok());
+  auto first = executor.FetchData(good, out);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(*first == data::Matrix(2, 2, 1.0));
+
+  auto failed = executor.Execute(bad);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("injected kernel error"),
+            std::string::npos);
+  for (const TaskGraph* graph : {&good, &bad}) {
+    auto value = executor.FetchData(*graph, bad_out);
+    ASSERT_FALSE(value.ok());
+    EXPECT_EQ(value.status().code(), StatusCode::kFailedPrecondition);
+  }
+
+  ASSERT_TRUE(executor.Execute(good).ok());
+  ASSERT_TRUE(executor.FetchData(good, out).ok());
+  CancellationToken token;
+  token.Cancel();
+  RunContext ctx;
+  ctx.cancel = &token;
+  auto cancelled = executor.Execute(good, ctx);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  auto value = executor.FetchData(good, out);
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Execute never writes the graph entries, so running one TaskGraph
+// twice starts from its initial values both times — as the
+// storage-mode thread pool does.
+TEST(MultiProcExecutorTest, RerunningOneGraphStartsFromInitialValues) {
+  TaskGraph graph;
+  const DataId acc = graph.AddData(data::Matrix(4, 4, 0.0));
+  for (int i = 0; i < 3; ++i) {
+    TaskSpec spec;
+    spec.type = "increment";
+    spec.params = {{acc, Dir::kInOut}};
+    spec.kernel = [](const std::vector<const data::Matrix*>&,
+                     const std::vector<data::Matrix*>& outputs) -> Status {
+      data::Matrix& m = *outputs[0];
+      for (int64_t j = 0; j < m.size(); ++j) m.data()[j] += 1.0;
+      return Status::OK();
+    };
+    ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
+  }
+  RunOptions pool_options;
+  pool_options.num_threads = 2;
+  pool_options.use_storage = true;
+  MultiProcExecutor procs(ProcOptions(2));
+  ThreadPoolExecutor pool(pool_options);
+  for (Executor* executor : std::vector<Executor*>{&procs, &pool}) {
+    for (int run = 0; run < 2; ++run) {
+      ASSERT_TRUE(executor->Run(graph).ok());
+      auto value = executor->Fetch(graph, acc);
+      ASSERT_TRUE(value.ok()) << value.status().ToString();
+      EXPECT_TRUE(*value == data::Matrix(4, 4, 3.0))
+          << executor->name() << " run " << run;
+      EXPECT_TRUE(*graph.data(acc).value == data::Matrix(4, 4, 0.0))
+          << executor->name() << " wrote the graph entry";
+    }
+  }
+}
+
+#if defined(__linux__)
+// Fetch deserializes straight out of the retained arena; a record
+// corrupted after the run must fail its CRC there, not be served.
+TEST(MultiProcExecutorTest, CorruptRecordIsRejectedAtFetch) {
+  TaskGraph graph;
+  const DataId in = graph.AddData(data::Matrix(4, 4, 1.0));
+  const DataId out = graph.AddData(static_cast<uint64_t>(128));
+  ASSERT_TRUE(graph.Submit(SimpleTask(in, out, AddOneKernel())).ok());
+  MultiProcExecutor executor(ProcOptions(2));
+  ASSERT_TRUE(executor.Execute(graph).ok());
+  ASSERT_TRUE(executor.FetchData(graph, in).ok());
+
+  const uintptr_t base = ArenaMapping().first;
+  ASSERT_NE(base, 0u);
+  // `in` is staged first: its record sits right after the 64-byte
+  // arena header, as [u64 size | 28-byte wire header | payload].
+  auto* payload = reinterpret_cast<uint8_t*>(base + 64 + 8 + 28);
+  payload[5] ^= 0x40;
+  auto corrupt = executor.FetchData(graph, in);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_NE(corrupt.status().message().find("checksum mismatch"),
+            std::string::npos)
+      << corrupt.status().ToString();
+  auto intact = executor.FetchData(graph, out);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_TRUE(*intact == data::Matrix(4, 4, 2.0));
 }
 #endif  // __linux__
 

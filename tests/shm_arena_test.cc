@@ -83,6 +83,22 @@ TEST(ShmArenaTest, ExhaustionIsResourceExhausted) {
   EXPECT_TRUE(arena->Allocate(1).ok());
 }
 
+TEST(ShmArenaTest, ResetRewindsToTheFirstRecord) {
+  auto arena = ShmArena::Create("test", 256);
+  ASSERT_TRUE(arena.ok());
+  auto first = arena->Allocate(192);
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(arena->Allocate(128).ok());  // full
+  const uint64_t used = arena->used();
+  arena->Reset();
+  EXPECT_LT(arena->used(), used);
+  // The whole capacity is free again and offsets start over.
+  auto again = arena->Allocate(192);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, *first);
+  EXPECT_EQ(arena->used(), used);
+}
+
 // Regression: Allocate used to fetch_add then fetch_sub on failure,
 // transiently inflating the cursor — a concurrent small allocation
 // that fit could spuriously see an exhausted arena, which workers
